@@ -1132,9 +1132,9 @@ let run_openloop_shared ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed
   openloop_row "merged" merged;
   Printf.printf
     "\nfences/op %.3f  flushes/op %.3f  epochs %d  occupancy mean %.2f max %d \
-     solo %.0f%%\n"
+     solo %.0f%%  linger rounds %d\n"
     fences_per_op flushes_per_op gstats.G.epochs occ_mean
-    gstats.G.max_occupancy (100.0 *. solo_frac);
+    gstats.G.max_occupancy (100.0 *. solo_frac) gstats.G.linger_rounds;
   (match json with
   | None -> ()
   | Some path ->
@@ -1157,6 +1157,8 @@ let run_openloop_shared ~domains ~rate ~poisson ~ops ~keyspace ~theta ~seed
                   ( "occupancy_max",
                     Ptelemetry.Json.Num (float_of_int gstats.G.max_occupancy) );
                   ("solo_fraction", Ptelemetry.Json.Num solo_frac);
+                  ( "linger_rounds",
+                    Ptelemetry.Json.Num (float_of_int gstats.G.linger_rounds) );
                 ] );
             ("merged", Loadgen.report_json ~label:"merged-shared" merged);
           ]

@@ -103,6 +103,10 @@ type t = {
   mutable combiner : GC.t option;
   txs : (int, tx) Hashtbl.t; (* domain id -> active transaction *)
   txs_lock : Mutex.t;
+  open_txs : int Atomic.t;
+  (* Entries in [txs], readable without [txs_lock]: the combiner's
+     leader polls it to learn whether a commit can still join its
+     epoch. *)
   locks : (int, lock_entry) Hashtbl.t;
   locks_lock : Mutex.t;
   borrows : (int, unit) Hashtbl.t;
@@ -211,6 +215,7 @@ let build ?(read_only = false) dev ~buddy ~nslots ~slot_size ~table_base
     combiner = None;
     txs = Hashtbl.create 8;
     txs_lock = Mutex.create ();
+    open_txs = Atomic.make 0;
     locks = Hashtbl.create 64;
     locks_lock = Mutex.create ();
     borrows = Hashtbl.create 64;
@@ -513,17 +518,19 @@ let slot_of_domain t =
   Mutex.unlock t.slot_lock;
   r
 
-(* The default leader linger (batch-until-quiet spin rounds).  Sized so
-   a leader waits tens of microseconds of wall time for concurrent
-   committers — enough for domains in a commit storm to pile into one
-   epoch (measured mean occupancy ~3 of 4 committing domains), invisible
-   to the simulated clock, and self-limiting when solo (the budget runs
-   out quietly). *)
+(* The default leader linger (batch-until-quiet spin rounds).  A leader
+   spends it only while another transaction is open on the pool and has
+   not joined its epoch, so a solo commit never pays it; in a commit
+   storm it is sized for domains to pile into one epoch (measured mean
+   occupancy ~3 of 4 committing domains).  Invisible to the simulated
+   clock. *)
 let default_linger = 4096
 
 let set_group_commit ?(linger = default_linger) t enabled =
   check_open t;
-  t.combiner <- (if enabled then Some (GC.create ~linger t.dev) else None)
+  t.combiner <-
+    (if enabled then Some (GC.create ~linger ~open_txs:t.open_txs t.dev)
+     else None)
 
 let group_commit_stats t = Option.map GC.stats t.combiner
 
@@ -548,6 +555,7 @@ let unregister tx =
   tx.valid := false;
   Mutex.lock t.txs_lock;
   Hashtbl.remove t.txs tx.domain;
+  Atomic.decr t.open_txs;
   Mutex.unlock t.txs_lock;
   if not tx.bound then release_slot t tx.slot_idx
 
@@ -616,6 +624,7 @@ let transaction t f =
       in
       Mutex.lock t.txs_lock;
       Hashtbl.replace t.txs did tx;
+      Atomic.incr t.open_txs;
       Mutex.unlock t.txs_lock;
       if Pr.on () then
         Pr.emit (Pr.Tx_begin { dev = D.id t.dev; ns = D.simulated_ns t.dev });

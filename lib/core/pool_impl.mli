@@ -175,8 +175,9 @@ val slot_of_domain : t -> int option
 val set_group_commit : ?linger:int -> t -> bool -> unit
 (** Enable (with a fresh combiner) or disable cross-transaction group
     commit for this pool.  [linger] is the leader's batch-until-quiet
-    spin budget (see {!Pjournal.Group_commit.create}); the default is a
-    few microseconds' worth. *)
+    spin budget (see {!Pjournal.Group_commit.create}).  The leader spends
+    it only while another transaction is open on this pool and has not
+    joined its epoch: a solo commit never lingers. *)
 
 val group_commit_stats : t -> Pjournal.Group_commit.stats option
 (** Epoch/occupancy counters of the active combiner, if any. *)

@@ -23,11 +23,15 @@ let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to stay exactly uniform. *)
-  let limit = (1 lsl 62) - ((1 lsl 62) mod bound) in
+  (* Rejection sampling to stay exactly uniform over the 2^62 values
+     [next] draws: reject the top [2^62 mod bound] of them.  2^62 itself
+     is not an OCaml int, so count from the largest draw, [max_int]
+     = 2^62 - 1. *)
+  let top = max_int in
+  let limit = top - (((top mod bound) + 1) mod bound) in
   let rec go () =
     let v = next t in
-    if v < limit then v mod bound else go ()
+    if v <= limit then v mod bound else go ()
   in
   go ()
 

@@ -32,6 +32,7 @@ module Mx = Ptelemetry.Metrics
 let m_epochs = Mx.counter "group_commit.epochs"
 let m_group_commits = Mx.counter "group_commit.commits"
 let h_occupancy = Mx.histogram "group_commit.occupancy"
+let h_linger_rounds = Mx.histogram "group_commit.linger_rounds"
 
 (* Flush a set of 64-byte line indexes: one flush call per contiguous
    run.  Runs are never merged across a gap — a clean line between two
@@ -67,6 +68,7 @@ type stats = {
   commits : int;
   solo_epochs : int;
   max_occupancy : int;
+  linger_rounds : int;
 }
 
 type t = {
@@ -81,17 +83,14 @@ type t = {
      window self-limits: a joined member is blocked until the epoch
      fences, so the batch can never exceed the number of committing
      domains. *)
+  open_txs : int Atomic.t;
+  (* The pool's count of open transactions, members of this epoch
+     included.  The leader lingers only while it exceeds [members]:
+     once every open transaction has joined or ended, no commit can
+     still join, so the epoch closes at once — a solo commit never
+     spins. *)
   lock : Mutex.t;
   cond : Condition.t;
-  mutable cur_linger : int;
-  (* The adaptive budget actually spent: halved after every solo epoch
-     (down to a small floor), restored to [linger] after any grouped
-     one.  A steady solo workload decays within ~log2(linger) commits
-     to the floor — a microsecond-scale probe window that keeps
-     concurrency detectable — while a commit storm keeps the budget
-     pinned at full (a single grouped epoch re-arms it, and six
-     consecutive solo epochs are needed to halve it below 2% of
-     full). *)
   mutable open_epoch : int; (* the epoch currently accepting members *)
   mutable completed : int; (* highest epoch whose fence has been issued *)
   mutable flushing : bool; (* a leader is at the device right now *)
@@ -103,13 +102,14 @@ type t = {
   mutable s_commits : int;
   mutable s_solo : int;
   mutable s_max_occupancy : int;
+  mutable s_linger_rounds : int;
 }
 
-let create ?(linger = 0) dev =
+let create ?(linger = 0) ~open_txs dev =
   {
     dev;
     linger;
-    cur_linger = linger;
+    open_txs;
     lock = Mutex.create ();
     cond = Condition.create ();
     open_epoch = 0;
@@ -122,6 +122,7 @@ let create ?(linger = 0) dev =
     s_commits = 0;
     s_solo = 0;
     s_max_occupancy = 0;
+    s_linger_rounds = 0;
   }
 
 let stats t =
@@ -132,6 +133,7 @@ let stats t =
       commits = t.s_commits;
       solo_epochs = t.s_solo;
       max_occupancy = t.s_max_occupancy;
+      linger_rounds = t.s_linger_rounds;
     }
   in
   Mutex.unlock t.lock;
@@ -165,22 +167,22 @@ let commit t ~lines =
       raise D.Crashed
     end;
     (* Linger: let commits racing in on other domains join this epoch
-       before it closes. *)
-    if t.cur_linger > 0 then begin
-      let budget = ref t.cur_linger and last = ref t.members in
-      while !budget > 0 && not t.crashed do
-        Mutex.unlock t.lock;
-        for _ = 1 to 32 do
-          Domain.cpu_relax ()
-        done;
-        Mutex.lock t.lock;
-        if t.members > !last then begin
-          last := t.members;
-          budget := t.linger
-        end
-        else decr budget
-      done
-    end;
+       before it closes — but only while some open transaction has not
+       joined yet; none can join once they all have. *)
+    let budget = ref t.linger and last = ref t.members and rounds = ref 0 in
+    while !budget > 0 && Atomic.get t.open_txs > t.members && not t.crashed do
+      Mutex.unlock t.lock;
+      for _ = 1 to 32 do
+        Domain.cpu_relax ()
+      done;
+      Mutex.lock t.lock;
+      incr rounds;
+      if t.members > !last then begin
+        last := t.members;
+        budget := t.linger
+      end
+      else decr budget
+    done;
     let n = t.members in
     let batch = Hashtbl.copy t.batch in
     Hashtbl.reset t.batch;
@@ -202,10 +204,7 @@ let commit t ~lines =
     t.s_commits <- t.s_commits + n;
     if n = 1 then t.s_solo <- t.s_solo + 1;
     if n > t.s_max_occupancy then t.s_max_occupancy <- n;
-    if n > 1 then t.cur_linger <- t.linger
-    else
-      t.cur_linger <-
-        max (min t.linger 64) (t.cur_linger - (t.cur_linger / 4));
+    t.s_linger_rounds <- t.s_linger_rounds + !rounds;
     (* Advance [completed] ONLY on success: members decide "was my
        epoch fenced?" by [completed >= e], so completing a failed
        epoch would make its members report commit (and truncate their
@@ -220,7 +219,8 @@ let commit t ~lines =
     if Tr.on () then begin
       Mx.incr m_epochs;
       Mx.incr ~by:n m_group_commits;
-      Mx.observe h_occupancy n
+      Mx.observe h_occupancy n;
+      Mx.observe h_linger_rounds !rounds
     end;
     match failure with Some exn -> raise exn | None -> ()
   end

@@ -14,18 +14,21 @@
 
 type t
 
-val create : ?linger:int -> Pmem.Device.t -> t
+val create : ?linger:int -> open_txs:int Atomic.t -> Pmem.Device.t -> t
 (** A fresh combiner for one device.  Build one per shared pool at
     open/attach time — never reuse a combiner across a power cycle (a
-    crash poisons it).  [linger] (default 0: disabled) is the leader's
-    batch-until-quiet spin budget: the epoch stays open for up to that
-    many quiet spin rounds after the previous epoch's flush drains,
-    restarting whenever a commit joins.  Lingering costs wall-clock
-    time on the leader only — never a fence, never simulated time — and
-    widens the batching window well beyond the previous flush's
-    duration.  The budget is adaptive: solo epochs decay it toward a
-    microsecond-scale probe floor (a steady solo workload pays almost
-    nothing), and any grouped epoch restores it in full. *)
+    crash poisons it).  [open_txs] is the owning pool's live count of
+    open transactions, committing ones included.  [linger] (default 0:
+    disabled) is the leader's batch-until-quiet spin budget: while
+    [open_txs] exceeds the epoch's member count — some open transaction
+    could still join — the epoch stays open for up to that many quiet
+    spin rounds after the previous epoch's flush drains, restarting
+    whenever a commit joins.  Once every open transaction has joined or
+    ended the epoch closes at once, so a solo commit spins for zero
+    rounds.  Lingering costs wall-clock time on the leader only — never
+    a fence, never simulated time.  A transaction blocked on a lock the
+    leader holds still counts as open, so the leader waits out the
+    budget for it. *)
 
 val commit : t -> lines:(int, unit) Hashtbl.t -> unit
 (** Join the open epoch, publishing [lines] (the transaction's
@@ -42,6 +45,7 @@ type stats = {
   commits : int;  (** transactions committed through the combiner *)
   solo_epochs : int;  (** epochs with exactly one member *)
   max_occupancy : int;  (** largest member count of any epoch *)
+  linger_rounds : int;  (** leader spin rounds spent lingering, all epochs *)
 }
 
 val stats : t -> stats

@@ -157,7 +157,9 @@ module Pr = Ptelemetry.Probe
 let probe_store t off len =
   Pr.emit (Pr.Store { dev = t.id; off; len; ns = simulated_ns t })
 
-(* Per-access events are behind the [`All] detail level — they flood. *)
+(* Per-access events are behind the [`All] detail level — they flood.
+   Each is emitted once its access is done: a subscriber seeing a load
+   knows the value has already been read. *)
 let emit_access t name off len =
   Tr.emit
     ~args:[ ("off", string_of_int off); ("len", string_of_int len) ]
@@ -179,29 +181,33 @@ let read_u8 t off =
   check_alive t;
   check_range t off 1 "read_u8";
   Atomic.incr t.loads;
+  let v = Char.code (Bytes.unsafe_get t.view off) in
   if Tr.verbose () then emit_access t "load" off 1;
-  Char.code (Bytes.unsafe_get t.view off)
+  v
 
 let read_u32 t off =
   check_alive t;
   check_range t off 4 "read_u32";
   Atomic.incr t.loads;
+  let v = Int32.to_int (Bytes.get_int32_le t.view off) land 0xFFFFFFFF in
   if Tr.verbose () then emit_access t "load" off 4;
-  Int32.to_int (Bytes.get_int32_le t.view off) land 0xFFFFFFFF
+  v
 
 let read_u64 t off =
   check_alive t;
   check_range t off 8 "read_u64";
   Atomic.incr t.loads;
+  let v = Bytes.get_int64_le t.view off in
   if Tr.verbose () then emit_access t "load" off 8;
-  Bytes.get_int64_le t.view off
+  v
 
 let read_bytes t off len =
   check_alive t;
   check_range t off len "read_bytes";
   Atomic.incr t.loads;
+  let v = Bytes.sub t.view off len in
   if Tr.verbose () then emit_access t "load" off len;
-  Bytes.sub t.view off len
+  v
 
 let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
 

@@ -18,7 +18,11 @@ type ring = {
   mutable total : int; (* events ever emitted into this ring *)
 }
 
-type sink = Rings of ring array | Jsonl of out_channel | Null
+type sink =
+  | Rings of ring array
+  | Jsonl of out_channel
+  | Fn of (event -> unit)
+  | Null
 
 (* [active] mirrors [sink <> None] so the hot-path guard is one atomic
    load; [lock] serializes sink swaps and JSONL emission.  Ring
@@ -55,6 +59,12 @@ let install_ring ?(capacity = 65536) ?(shards = 1) () =
 let install_jsonl oc =
   Mutex.lock lock;
   sink := Some (Jsonl oc);
+  Atomic.set active true;
+  Mutex.unlock lock
+
+let install_fn f =
+  Mutex.lock lock;
+  sink := Some (Fn f);
   Atomic.set active true;
   Mutex.unlock lock
 
@@ -110,6 +120,7 @@ let emit ?(args = []) ?tid ~cat ~name ~ph ~ts_ns () =
         output_string oc (Json.to_string (event_to_json e));
         output_char oc '\n';
         Mutex.unlock lock
+    | Some (Fn f) -> f e
   end
 
 let begin_span ?args ~cat ~name ~ts_ns () = emit ?args ~cat ~name ~ph:B ~ts_ns ()

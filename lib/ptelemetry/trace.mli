@@ -51,6 +51,13 @@ val install_jsonl : out_channel -> unit
     one JSON object per line.  The channel is flushed on
     {!uninstall}. *)
 
+val install_fn : (event -> unit) -> unit
+(** Subscribe a function, called synchronously on the emitting domain
+    for every event, under no lock — so it may block that domain at an
+    exact instrumentation point (concurrency tests use this to force an
+    interleaving).  It must be safe to call from several domains at
+    once. *)
+
 val install_null : unit -> unit
 (** Subscribe a sink that discards every event.  {!on} becomes true, so
     gated side effects that ride the trace gate — notably the

@@ -261,6 +261,63 @@ let test_group_commit_shared_pool () =
         (Pcell.get c))
     (Pbox.get root)
 
+(* The leader lingers only while another open transaction could still
+   join: with one registered domain no other transaction is ever open,
+   so even a huge budget spins zero rounds and every epoch is solo. *)
+let test_group_commit_solo_never_lingers () =
+  let module G = Pjournal.Group_commit in
+  let module P = Pool.Make () in
+  P.create ~config:small ();
+  let root = P.root ~ty:Ptype.int ~init:(fun _ -> 0) () in
+  Pool_impl.set_group_commit ~linger:1_000_000 (P.impl ()) true;
+  ignore (P.register_domain () : int);
+  let n = 50 in
+  for i = 1 to n do
+    P.transaction (fun j -> Pbox.set root i j)
+  done;
+  P.unregister_domain ();
+  let s = Option.get (Pool_impl.group_commit_stats (P.impl ())) in
+  check_int "no linger rounds" 0 s.G.linger_rounds;
+  check_int "every epoch solo" n s.G.solo_epochs;
+  check_int "one epoch per commit" n s.G.epochs
+
+(* Two registered domains on disjoint cells under the same huge budget:
+   a leader closes its epoch once the other domain has joined or ended
+   its transaction, so the run terminates without waiting out the
+   budget, no epoch holds more than the two committers, and every
+   commit survives a crash. *)
+let test_group_commit_two_domains_durable () =
+  let module G = Pjournal.Group_commit in
+  let module P = Pool.Make () in
+  P.create ~config:small ();
+  let ty = Ptype.array 2 (Pcell.ptype Ptype.int) in
+  let root =
+    P.root ~ty ~init:(fun _ -> Array.init 2 (fun _ -> Pcell.make ~ty:Ptype.int 0)) ()
+  in
+  Pool_impl.set_group_commit ~linger:1_000_000 (P.impl ()) true;
+  let n_tx = 40 in
+  let worker w () =
+    ignore (P.register_domain () : int);
+    let c = (Pbox.get root).(w) in
+    for _ = 1 to n_tx do
+      P.transaction (fun j -> Pcell.set c (Pcell.get c + 1) j)
+    done;
+    P.unregister_domain ()
+  in
+  let ds = List.init 2 (fun w -> Domain.spawn (worker w)) in
+  List.iter Domain.join ds;
+  let s = Option.get (Pool_impl.group_commit_stats (P.impl ())) in
+  check_int "every commit passed through the combiner" (2 * n_tx) s.G.commits;
+  check_bool "occupancy at most the two committers" true
+    (s.G.max_occupancy >= 1 && s.G.max_occupancy <= 2);
+  P.crash_and_reopen ();
+  let root = P.root ~ty ~init:(fun _ -> [||]) () in
+  Array.iteri
+    (fun w c ->
+      check_int (Printf.sprintf "worker %d durable after reopen" w) n_tx
+        (Pcell.get c))
+    (Pbox.get root)
+
 (* Leader failure must never manufacture a commit: if the device dies
    under the epoch leader's merged flush or fence, every member of that
    epoch (and every later arrival) observes Crashed.  Regression for the
@@ -270,9 +327,9 @@ let test_group_leader_failure () =
   let module D = Pmem.Device in
   let module G = Pjournal.Group_commit in
   let dev = D.create ~size:(1024 * 1024) () in
-  (* a generous linger so the two committers usually share one epoch;
-     the assertion holds for any interleaving *)
-  let gc = G.create ~linger:20_000 dev in
+  (* a generous linger and both committers counted open, so they
+     usually share one epoch; the assertion holds for any interleaving *)
+  let gc = G.create ~linger:20_000 ~open_txs:(Atomic.make 2) dev in
   D.set_crash_countdown dev 1;
   let commit_one l () =
     let lines = Hashtbl.create 1 in
@@ -339,6 +396,10 @@ let () =
             test_shared_counters_exact;
           Alcotest.test_case "group commit epochs" `Slow
             test_group_commit_shared_pool;
+          Alcotest.test_case "group commit: solo never lingers" `Quick
+            test_group_commit_solo_never_lingers;
+          Alcotest.test_case "group commit: two domains, huge budget" `Quick
+            test_group_commit_two_domains_durable;
           Alcotest.test_case "group leader failure" `Quick
             test_group_leader_failure;
         ] );

@@ -9,6 +9,21 @@ module L = Loadgen
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* --- Rng ------------------------------------------------------------------ *)
+
+(* Rng.int returns, and stays in range, for the smallest bound, a small
+   one and one near the 2^62 draw range (where rejection is frequent). *)
+let test_rng_int_bounds () =
+  let r = L.Rng.create 5 in
+  List.iter
+    (fun bound ->
+      for _ = 1 to 1000 do
+        let v = L.Rng.int r bound in
+        check_bool (Printf.sprintf "0 <= %d < %d" v bound) true
+          (0 <= v && v < bound)
+      done)
+    [ 1; 7; (1 lsl 61) + 1 ]
+
 (* --- Hdr precision ------------------------------------------------------ *)
 
 (* Every value maps into a bucket whose lower bound underestimates it by
@@ -258,6 +273,8 @@ let () =
           Alcotest.test_case "merge exactness window" `Quick
             test_merge_exactness_window;
         ] );
+      ( "rng",
+        [ Alcotest.test_case "int bounds" `Quick test_rng_int_bounds ] );
       ( "arrivals",
         [
           Alcotest.test_case "fixed schedule" `Quick test_fixed_arrivals;

@@ -267,6 +267,56 @@ let test_parc_cross_domain () =
           Parc.drop rc j
       | None -> Alcotest.fail "parc lost")
 
+(* Regression for a lost update: an atomic counter update must read the
+   count under the control block's lock.  A trace hook parks domain B
+   right after its load of the control word while domain A clones and
+   commits; had B read before locking, it would then write back a stale
+   count and A's clone would be lost.  Taking the lock first, B parks
+   holding it, A waits for B, and both clones count. *)
+let test_parc_clone_race () =
+  let module P = Pool.Make () in
+  let module Tr = Ptelemetry.Trace in
+  P.create ~config:small ();
+  ignore (P.root ~ty:Ptype.int ~init:(fun _ -> 0) ());
+  let rc = P.transaction (fun j -> Parc.make ~ty:Ptype.int 1 j) in
+  let ctrl = string_of_int (Parc.off rc) in
+  let b_id = Atomic.make (-1) in
+  let parked = Atomic.make false and a_done = Atomic.make false in
+  (* bounded: with the lock taken first, A cannot finish while B parks *)
+  let wait_for flag ~seconds =
+    let deadline = Unix.gettimeofday () +. seconds in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  let hook (e : Tr.event) =
+    if
+      e.Tr.tid = Atomic.get b_id
+      && e.Tr.name = "load"
+      && List.assoc_opt "off" e.Tr.args = Some ctrl
+      && Atomic.compare_and_set parked false true
+    then wait_for a_done ~seconds:1.0
+  in
+  Tr.set_detail `All;
+  Tr.install_fn hook;
+  Fun.protect
+    ~finally:(fun () ->
+      Tr.uninstall ();
+      Tr.set_detail `Ordering)
+    (fun () ->
+      let b =
+        Domain.spawn (fun () ->
+            Atomic.set b_id (Domain.self () :> int);
+            P.transaction (fun j -> ignore (Parc.pclone rc j)))
+      in
+      wait_for parked ~seconds:10.0;
+      check_bool "B parked after loading the control word" true
+        (Atomic.get parked);
+      P.transaction (fun j -> ignore (Parc.pclone rc j));
+      Atomic.set a_done true;
+      Domain.join b);
+  check_int "both clones counted" 3 (Parc.strong_count rc)
+
 let () =
   Alcotest.run "corundum_pointers"
     [
@@ -286,6 +336,8 @@ let () =
             test_parc_logs_every_update;
           Alcotest.test_case "cross-domain clone/drop" `Quick
             test_parc_cross_domain;
+          Alcotest.test_case "clone reads the count under the lock" `Quick
+            test_parc_clone_race;
         ] );
       ( "pweak",
         [
