@@ -1,25 +1,20 @@
 exception Crashed
 
-let line_size = 64
-let line_shift = 6
+module Ps = Persist_sem
 
-(* Per-line cache state, stored one byte per line. *)
-let st_clean = '\000'
-let st_dirty = '\001'
-let st_flushed = '\002' (* snapshot in WPQ, no store since the flush *)
-let st_flushed_dirty = '\003' (* snapshot in WPQ, line re-dirtied since *)
+let line_size = Ps.line_size
+let line_shift = Ps.line_shift
 
 type t = {
   id : int; (* process-unique; lets subscribers key state per device *)
   size : int;
-  nlines : int;
   latency : Latency.t;
   path : string option;
   durable : Bytes.t; (* what survives a power failure *)
   view : Bytes.t; (* what loads observe (durable + cached stores) *)
-  state : Bytes.t; (* one state byte per line *)
-  wpq : (int, Bytes.t) Hashtbl.t; (* line number -> 64-byte snapshot *)
-  lock : Mutex.t; (* protects wpq, state transitions in flush/fence *)
+  lines : Ps.t; (* the cache and write-pending queue, one state per line *)
+  mutable snaps : Bytes.t; (* WPQ snapshots, 64 bytes per pending slot *)
+  lock : Mutex.t; (* protects snaps, line transitions in flush/fence *)
   mutable rng : Random.State.t;
   mutable crashed : bool;
   mutable crash_countdown : int; (* <= 0 means disabled *)
@@ -60,13 +55,12 @@ let create ?(latency = Latency.zero) ?(seed = 0xC0FFEE) ?path ~size () =
   {
     id = Atomic.fetch_and_add next_id 1;
     size;
-    nlines = size / line_size;
     latency;
     path;
     durable = Bytes.make size '\000';
     view = Bytes.make size '\000';
-    state = Bytes.make (size / line_size) st_clean;
-    wpq = Hashtbl.create 256;
+    lines = Ps.create (size / line_size);
+    snaps = Bytes.create 4096;
     lock = Mutex.create ();
     rng = Random.State.make [| seed |];
     crashed = false;
@@ -127,16 +121,19 @@ let reset_stats (t : t) =
   Atomic.set t.torn_lines 0;
   Atomic.set t.corrupted_lines 0
 
+(* Summed straight from the counters: this runs on every probe event and
+   trace span, so it builds no [stats] record. *)
 let simulated_ns (t : t) =
-  let s = stats t and m = t.latency in
-  (float_of_int s.loads *. m.Latency.read_ns)
-  +. (float_of_int s.stores *. m.Latency.write_ns)
-  +. (float_of_int s.flush_calls *. m.Latency.flush_ns)
-  +. (float_of_int (max 0 (s.flushes - s.flush_calls)) *. m.Latency.flush_bulk_ns)
-  +. (float_of_int s.fences *. m.Latency.fence_base_ns)
-  +. (float_of_int s.fence_lines *. m.Latency.fence_per_line_ns)
-  +. (float_of_int s.alloc_steps *. m.Latency.alloc_step_ns)
-  +. float_of_int s.extra_ns
+  let m = t.latency and flush_calls = Atomic.get t.flush_calls in
+  (float_of_int (Atomic.get t.loads) *. m.Latency.read_ns)
+  +. (float_of_int (Atomic.get t.stores) *. m.Latency.write_ns)
+  +. (float_of_int flush_calls *. m.Latency.flush_ns)
+  +. float_of_int (max 0 (Atomic.get t.flushes - flush_calls))
+     *. m.Latency.flush_bulk_ns
+  +. (float_of_int (Atomic.get t.fences) *. m.Latency.fence_base_ns)
+  +. (float_of_int (Atomic.get t.fence_lines) *. m.Latency.fence_per_line_ns)
+  +. (float_of_int (Atomic.get t.alloc_steps) *. m.Latency.alloc_step_ns)
+  +. float_of_int (Atomic.get t.extra_ns)
 
 let charge_ns (t : t) n = ignore (Atomic.fetch_and_add t.extra_ns n)
 let charge_alloc_steps (t : t) n = ignore (Atomic.fetch_and_add t.alloc_steps n)
@@ -165,15 +162,13 @@ let emit_access t name off len =
     ~args:[ ("off", string_of_int off); ("len", string_of_int len) ]
     ~cat:"device" ~name ~ph:Tr.I ~ts_ns:(simulated_ns t) ()
 
-(* Mark every line intersecting [off, off+len) as dirtied by a store. *)
-let mark_dirty t off len =
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
-  for l = first to last do
-    match Bytes.unsafe_get t.state l with
-    | c when c = st_clean -> Bytes.unsafe_set t.state l st_dirty
-    | c when c = st_flushed -> Bytes.unsafe_set t.state l st_flushed_dirty
-    | _ -> ()
-  done
+(* Book a store whose bytes are already in the view: count it, dirty
+   its lines, then tell subscribers. *)
+let stored (t : t) name off len =
+  Atomic.incr t.stores;
+  Ps.store t.lines off len;
+  if Pr.on () then probe_store t off len;
+  if Tr.verbose () then emit_access t name off len
 
 (* {1 Loads} *)
 
@@ -216,40 +211,28 @@ let read_string t off len = Bytes.unsafe_to_string (read_bytes t off len)
 let write_u8 t off v =
   check_alive t;
   check_range t off 1 "write_u8";
-  Atomic.incr t.stores;
   Bytes.unsafe_set t.view off (Char.unsafe_chr (v land 0xFF));
-  mark_dirty t off 1;
-  if Pr.on () then probe_store t off 1;
-  if Tr.verbose () then emit_access t "store" off 1
+  stored t "store" off 1
 
 let write_u32 t off v =
   check_alive t;
   check_range t off 4 "write_u32";
-  Atomic.incr t.stores;
   Bytes.set_int32_le t.view off (Int32.of_int v);
-  mark_dirty t off 4;
-  if Pr.on () then probe_store t off 4;
-  if Tr.verbose () then emit_access t "store" off 4
+  stored t "store" off 4
 
 let write_u64 t off v =
   check_alive t;
   check_range t off 8 "write_u64";
-  Atomic.incr t.stores;
   Bytes.set_int64_le t.view off v;
-  mark_dirty t off 8;
-  if Pr.on () then probe_store t off 8;
-  if Tr.verbose () then emit_access t "store" off 8
+  stored t "store" off 8
 
 let write_bytes t off b =
   check_alive t;
   let len = Bytes.length b in
   check_range t off len "write_bytes";
   if len > 0 then begin
-    Atomic.incr t.stores;
     Bytes.blit b 0 t.view off len;
-    mark_dirty t off len;
-    if Pr.on () then probe_store t off len;
-    if Tr.verbose () then emit_access t "store" off len
+    stored t "store" off len
   end
 
 let write_string t off s =
@@ -257,22 +240,16 @@ let write_string t off s =
   let len = String.length s in
   check_range t off len "write_string";
   if len > 0 then begin
-    Atomic.incr t.stores;
     Bytes.blit_string s 0 t.view off len;
-    mark_dirty t off len;
-    if Pr.on () then probe_store t off len;
-    if Tr.verbose () then emit_access t "store" off len
+    stored t "store" off len
   end
 
 let fill t off len c =
   check_alive t;
   check_range t off len "fill";
   if len > 0 then begin
-    Atomic.incr t.stores;
     Bytes.fill t.view off len c;
-    mark_dirty t off len;
-    if Pr.on () then probe_store t off len;
-    if Tr.verbose () then emit_access t "store" off len
+    stored t "store" off len
   end
 
 let copy_within t ~src ~dst ~len =
@@ -281,11 +258,8 @@ let copy_within t ~src ~dst ~len =
   check_range t dst len "copy_within(dst)";
   if len > 0 then begin
     Atomic.incr t.loads;
-    Atomic.incr t.stores;
     Bytes.blit t.view src t.view dst len;
-    mark_dirty t dst len;
-    if Pr.on () then probe_store t dst len;
-    if Tr.verbose () then emit_access t "copy" dst len
+    stored t "copy" dst len
   end
 
 (* {1 Persist points and crash scheduling} *)
@@ -327,9 +301,15 @@ let persist_point_locked t =
     end
   end
 
-let snapshot_line t l =
-  let off = l lsl line_shift in
-  Bytes.sub t.view off (min line_size (t.size - off))
+(* Copy line [l] of the view into WPQ snapshot [slot]. *)
+let snapshot t l slot =
+  let need = (slot + 1) lsl line_shift in
+  if need > Bytes.length t.snaps then begin
+    let b = Bytes.create (max need (2 * Bytes.length t.snaps)) in
+    Bytes.blit t.snaps 0 b 0 (Bytes.length t.snaps);
+    t.snaps <- b
+  end;
+  Bytes.blit t.view (l lsl line_shift) t.snaps (slot lsl line_shift) line_size
 
 let flush t off len =
   check_alive t;
@@ -339,13 +319,10 @@ let flush t off len =
     persist_point_locked t;
     Atomic.incr t.flush_calls;
     let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
+    ignore (Atomic.fetch_and_add t.flushes (last - first + 1));
     for l = first to last do
-      Atomic.incr t.flushes;
-      match Bytes.unsafe_get t.state l with
-      | c when c = st_dirty || c = st_flushed_dirty ->
-          Hashtbl.replace t.wpq l (snapshot_line t l);
-          Bytes.unsafe_set t.state l st_flushed
-      | _ -> ()
+      let slot = Ps.flush_line t.lines l in
+      if slot >= 0 then snapshot t l slot
     done;
     Mutex.unlock t.lock;
     if Pr.on () then Pr.emit (Pr.Flush { dev = t.id; off; len; ns = simulated_ns t });
@@ -362,42 +339,27 @@ let flush t off len =
     end
   end
 
-(* WPQ entries in ascending line order.  Draining through a sorted list
-   (rather than [Hashtbl.iter], whose order depends on hashing history)
-   makes fence semantics and — more importantly — the RNG consumption of
-   [power_cycle] deterministic for a given seed, so torn-write injection
-   sweeps are bit-reproducible across runs. *)
-let wpq_sorted t =
-  let entries = Hashtbl.fold (fun l snap acc -> (l, snap) :: acc) t.wpq [] in
-  List.sort (fun (a, _) (b, _) -> compare a b) entries
+let write_back t l slot =
+  Bytes.blit t.snaps (slot lsl line_shift) t.durable (l lsl line_shift) line_size
 
 let fence t =
   check_alive t;
   Mutex.lock t.lock;
   persist_point_locked t;
   Atomic.incr t.fences;
-  let drained = ref 0 in
-  let drain (l, snap) =
-    Atomic.incr t.fence_lines;
-    incr drained;
-    Bytes.blit snap 0 t.durable (l lsl line_shift) (Bytes.length snap);
-    match Bytes.unsafe_get t.state l with
-    | c when c = st_flushed -> Bytes.unsafe_set t.state l st_clean
-    | c when c = st_flushed_dirty -> Bytes.unsafe_set t.state l st_dirty
-    | _ -> ()
-  in
-  List.iter drain (wpq_sorted t);
-  Hashtbl.reset t.wpq;
+  let drained = Ps.pending t.lines in
+  ignore (Atomic.fetch_and_add t.fence_lines drained);
+  Ps.drain t.lines write_back t;
   Mutex.unlock t.lock;
   if Pr.on () then Pr.emit (Pr.Fence { dev = t.id; ns = simulated_ns t });
   if Tr.on () then begin
     let m = t.latency in
     let dur =
       m.Latency.fence_base_ns
-      +. (float_of_int !drained *. m.Latency.fence_per_line_ns)
+      +. (float_of_int drained *. m.Latency.fence_per_line_ns)
     in
     Tr.emit
-      ~args:[ ("lines", string_of_int !drained) ]
+      ~args:[ ("lines", string_of_int drained) ]
       ~cat:"device" ~name:"fence" ~ph:(Tr.X dur)
       ~ts_ns:(simulated_ns t -. dur) ()
   end
@@ -406,32 +368,38 @@ let persist t off len =
   flush t off len;
   fence t
 
+(* Re-read line [l] of the view from media, losing its cached stores. *)
+let restore t l =
+  Bytes.blit t.durable (l lsl line_shift) t.view (l lsl line_shift) line_size
+
+(* Lines sitting in the WPQ at power failure may or may not have reached
+   media; decide each one independently, in ascending line order, so the
+   RNG is consumed identically on every run and torn-write sweeps are
+   bit-reproducible.  With a torn-write probability set, a line's
+   write-back can additionally be interrupted mid-line: media guarantees
+   8-byte atomicity only, so each u64 word of the line independently
+   lands new or stays old.  Either way the line's view is re-read from
+   media. *)
+let maybe_write_back t l slot =
+  let off = l lsl line_shift and snap = slot lsl line_shift in
+  if t.torn_write_prob > 0.0 && Random.State.float t.rng 1.0 < t.torn_write_prob
+  then begin
+    Atomic.incr t.torn_lines;
+    for w = 0 to (line_size / 8) - 1 do
+      if Random.State.bool t.rng then
+        Bytes.blit t.snaps (snap + (w * 8)) t.durable (off + (w * 8)) 8
+    done
+  end
+  else if Random.State.bool t.rng then write_back t l slot;
+  restore t l
+
 let power_cycle t =
   Mutex.lock t.lock;
-  (* Lines sitting in the WPQ at power failure may or may not have reached
-     media; decide each one independently.  With a torn-write probability
-     set, a line's write-back can additionally be interrupted mid-line:
-     media guarantees 8-byte atomicity only, so each u64 word of the line
-     independently lands new or stays old. *)
-  let maybe_drain (l, snap) =
-    let off = l lsl line_shift in
-    let len = Bytes.length snap in
-    if t.torn_write_prob > 0.0 && Random.State.float t.rng 1.0 < t.torn_write_prob
-    then begin
-      Atomic.incr t.torn_lines;
-      let w = ref 0 in
-      while !w < len do
-        let n = min 8 (len - !w) in
-        if Random.State.bool t.rng then Bytes.blit snap !w t.durable (off + !w) n;
-        w := !w + 8
-      done
-    end
-    else if Random.State.bool t.rng then Bytes.blit snap 0 t.durable off len
-  in
-  List.iter maybe_drain (wpq_sorted t);
-  Hashtbl.reset t.wpq;
-  Bytes.blit t.durable 0 t.view 0 t.size;
-  Bytes.fill t.state 0 t.nlines st_clean;
+  Ps.drain t.lines maybe_write_back t;
+  (* A clean line's view already equals media (a fence writes back the
+     bytes the view holds), so only lines with cached stores are re-read. *)
+  Ps.iter_unclean t.lines restore t;
+  Ps.reset t.lines;
   t.crashed <- false;
   (* The crash countdown is a harness injection knob, not device state:
      it survives the power cycle so a test can arm a crash that fires
@@ -452,8 +420,7 @@ let corrupt_line t off =
   let bit = 1 lsl Random.State.int t.rng 8 in
   let flipped = Char.chr (Char.code (Bytes.get t.durable off) lxor bit) in
   Bytes.set t.durable off flipped;
-  let line = off lsr line_shift in
-  if Bytes.get t.state line = st_clean && not (Hashtbl.mem t.wpq line) then
+  if Ps.state t.lines (off lsr line_shift) = Ps.Clean then
     Bytes.set t.view off flipped;
   Atomic.incr t.corrupted_lines;
   Mutex.unlock t.lock

@@ -41,14 +41,14 @@ let status_name = function
 (* {1 Schedule execution} *)
 
 type run = {
-  m : Ms.mem;
+  m : Ms.value Ms.mem;
   statuses : status array;
   crashed : bool;
   points : int;  (* persist points executed (= total on a full run) *)
 }
 
 let exec_schedule cfg ~init_live ~ntxs sched ~stop_at =
-  let m = Ms.boot cfg (Ms.initial_state cfg ~init_live) in
+  let m = Ms.boot (Ms.initial_state cfg ~init_live) in
   let statuses = Array.make ntxs NotStarted in
   let points = ref 0 in
   let rec go = function
@@ -150,7 +150,7 @@ let check_recovered cfg variant prog (statuses : status array) (st : Ms.state) =
   | Some _ ->
       (* the state is a legal composition; now the log must be quiescent
          and recovery idempotent *)
-      let m = Ms.boot cfg st in
+      let m = Ms.boot st in
       let quiescent = ref (Ok ()) in
       for s = 0 to cfg.Ms.nslots - 1 do
         let epoch = Mr.as_int (Ms.read m (Ms.epoch_w cfg s)) in
@@ -170,8 +170,8 @@ let check_recovered cfg variant prog (statuses : status array) (st : Ms.state) =
       (match !quiescent with
       | Error _ as e -> e
       | Ok () ->
-          let m2 = Ms.boot cfg st in
-          Mr.recover ~variant (Mr.no_crash ()) m2;
+          let m2 = Ms.boot st in
+          Mr.recover ~variant (Mr.no_crash ()) cfg m2;
           if not (Ms.equal_state (Ms.snapshot_durable m2) st) then
             Error
               ( "I-IDEMPOTENT-RECOVERY",
@@ -274,8 +274,8 @@ exception Found of cex
 (* Run modeled recovery to completion on [st]; check the result. *)
 let recover_and_check stats variant cfg pidx prog statuses st ~point ~mask
     ~rpoint ~rmask =
-  let rm = Ms.boot cfg st in
-  Mr.recover ~variant (Mr.no_crash ()) rm;
+  let rm = Ms.boot st in
+  Mr.recover ~variant (Mr.no_crash ()) cfg rm;
   stats.recovery_runs <- stats.recovery_runs + 1;
   let final = Ms.snapshot_durable rm in
   match check_recovered cfg variant prog statuses final with
@@ -348,16 +348,16 @@ let check_program stats variant cfg pidx prog ~nested =
           ~mask ~rpoint:None ~rmask:None;
         if nested then begin
           (* crash recovery itself at each of ITS persist points *)
-          let dry = Ms.boot cfg st in
+          let dry = Ms.boot st in
           let dclk = Mr.no_crash () in
-          Mr.recover ~variant dclk dry;
+          Mr.recover ~variant dclk cfg dry;
           stats.recovery_runs <- stats.recovery_runs + 1;
           for rk = 0 to dclk.Mr.points - 1 do
             stats.nested_points <- stats.nested_points + 1;
-            let rm = Ms.boot cfg st in
+            let rm = Ms.boot st in
             let clk = Mr.crash_at rk in
             (try
-               Mr.recover ~variant clk rm;
+               Mr.recover ~variant clk cfg rm;
                assert false
              with Mr.Crash_now -> ());
             let rn = List.length (Ms.wpq_words rm) in
@@ -500,9 +500,9 @@ let replay spec =
                 match nested with
                 | None -> Ok st
                 | Some (rk, rmask) -> (
-                    let rm = Ms.boot cfg st in
+                    let rm = Ms.boot st in
                     let clk = Mr.crash_at rk in
-                    match Mr.recover ~variant clk rm with
+                    match Mr.recover ~variant clk cfg rm with
                     | () -> fail "recovery point %d out of range" rk
                     | exception Mr.Crash_now ->
                         Ok (Ms.crash_state rm ~mask:rmask))

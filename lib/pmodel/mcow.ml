@@ -2,7 +2,7 @@
    protocol: the {!Corundum.Cow_root} intent/swap/recovery family over
    {!Pjournal.Protocol.cow_commit_plan}.
 
-   Same discipline as {!Mcheck}, own tiny machine and layout: crash the
+   Same discipline as {!Mcheck}, {!Mstate}'s machine, own layout: crash the
    writer before every persist point, enumerate EVERY torn-word outcome
    of the write-pending queue, run a step-for-step mirror of
    [Cow_root.recover] on each distinct durable image, and assert
@@ -104,14 +104,9 @@ let pp_value ppf = function
         (List.length body)
   | Ibody { wid; pay = _ } -> Format.fprintf ppf "body#%d" wid
 
-(* {1 The machine — Mstate semantics, CoW layout} *)
+(* {1 The machine — Mstate's, over the CoW layout} *)
 
-type mem = {
-  durable : value array;
-  view : value array;
-  line_dirty : bool array;
-  wpq : (int, value) Hashtbl.t;
-}
+module Ms = Mstate
 
 type state = value array
 
@@ -123,54 +118,6 @@ let initial_state ~init_live ~init_root : state =
     d.(table_w b) <- Tab (if init_live.(b) then order_of_block b + 1 else 0)
   done;
   d
-
-let boot (s : state) =
-  {
-    durable = Array.copy s;
-    view = Array.copy s;
-    line_dirty = Array.make ((nwords + words_per_line - 1) / words_per_line) false;
-    wpq = Hashtbl.create 16;
-  }
-
-let read m w = m.view.(w)
-
-let store m w v =
-  m.view.(w) <- v;
-  m.line_dirty.(w / words_per_line) <- true
-
-let flush_words m ws =
-  let lines = List.sort_uniq compare (List.map (fun w -> w / words_per_line) ws) in
-  List.iter
-    (fun l ->
-      if m.line_dirty.(l) then begin
-        let lo = l * words_per_line in
-        let hi = min (lo + words_per_line) (Array.length m.view) in
-        for w = lo to hi - 1 do
-          if m.view.(w) <> m.durable.(w) then Hashtbl.replace m.wpq w m.view.(w)
-          else Hashtbl.remove m.wpq w
-        done;
-        m.line_dirty.(l) <- false
-      end)
-    lines
-
-let fence m =
-  Hashtbl.iter (fun w v -> m.durable.(w) <- v) m.wpq;
-  Hashtbl.reset m.wpq
-
-let wpq_words m =
-  List.sort compare (Hashtbl.fold (fun w _ acc -> w :: acc) m.wpq [])
-
-let max_branch_words = 16
-
-let crash_state m ~mask : state =
-  let d = Array.copy m.durable in
-  List.iteri
-    (fun i w -> if mask land (1 lsl i) <> 0 then d.(w) <- Hashtbl.find m.wpq w)
-    (wpq_words m);
-  d
-
-let snapshot_durable m : state = Array.copy m.durable
-let equal_state (a : state) (b : state) = a = b
 
 let pp_state ppf (s : state) =
   Array.iteri
@@ -458,28 +405,20 @@ let schedule variant (p : program) : step list =
 
 (* {1 Modeled recovery — a mirror of Cow_root.recover} *)
 
-type clock = { mutable points : int; mutable stop_at : int }
-
-exception Crash_now
-
-let no_crash () = { points = 0; stop_at = -1 }
-let crash_at k = { points = 0; stop_at = k }
-
-let tick c =
-  if c.stop_at >= 0 && c.points = c.stop_at then raise Crash_now;
-  c.points <- c.points + 1
+(* Crash clock: {!Mrecovery}'s. *)
+module Mr = Mrecovery
 
 let read_root m =
-  match read m root_w with
+  match Ms.read m root_w with
   | Root { ptr; gen } -> (ptr, gen)
   | _ -> (0, 0)
 
 (* CRC verification, structurally: the header's recorded body words must
    all read back identically. *)
 let read_intent m s =
-  match read m (ihdr_w s) with
+  match Ms.read m (ihdr_w s) with
   | Ihdr { igen; kind; body }
-    when List.for_all (fun (w, v) -> read m w = v) body ->
+    when List.for_all (fun (w, v) -> Ms.read m w = v) body ->
       Some (igen, kind, body)
   | _ -> None
 
@@ -489,33 +428,33 @@ let read_intents m =
     (List.init nslots Fun.id)
 
 let persist_word clk m w =
-  tick clk;
-  flush_words m [ w ];
-  tick clk;
-  fence m
+  Mr.tick clk;
+  Ms.flush_words m [ w ];
+  Mr.tick clk;
+  Ms.fence m
 
 let ensure_word clk m w v =
-  if read m w <> v then begin
-    store m w v;
+  if Ms.read m w <> v then begin
+    Ms.store m w v;
     persist_word clk m w
   end
 
-let tab_code m b = match read m (table_w b) with Tab c -> c | _ -> -1
+let tab_code m b = match Ms.read m (table_w b) with Tab c -> c | _ -> -1
 
 let ensure_marked clk m b =
   if tab_code m b <> order_of_block b + 1 then begin
-    store m (table_w b) (Tab (order_of_block b + 1));
+    Ms.store m (table_w b) (Tab (order_of_block b + 1));
     persist_word clk m (table_w b)
   end
 
 let ensure_cleared clk m b =
   if tab_code m b <> 0 then begin
-    store m (table_w b) (Tab 0);
+    Ms.store m (table_w b) (Tab 0);
     persist_word clk m (table_w b)
   end
 
 let invalidate_intent clk m s =
-  store m (ihdr_w s) (Int 0);
+  Ms.store m (ihdr_w s) (Int 0);
   persist_word clk m (ihdr_w s)
 
 let body_effects body =
@@ -569,7 +508,7 @@ let recover clk m =
           | K_pub _ -> (
               let pubs, _, _ = body_effects body in
               match List.rev pubs with
-              | { w; newv; _ } :: _ -> read m w = newv
+              | { w; newv; _ } :: _ -> Ms.read m w = newv
               | [] -> false)
         in
         if committed then begin
@@ -579,7 +518,7 @@ let recover clk m =
             | K_pub p -> p
             | K_gen | K_swap _ -> fst (read_root m)
           in
-          store m root_w (Root { ptr; gen = igen });
+          Ms.store m root_w (Root { ptr; gen = igen });
           persist_word clk m root_w;
           invalidate_intent clk m s
         end
@@ -587,19 +526,12 @@ let recover clk m =
       end)
     recs
 
-(* {1 The oracle} *)
+(* {1 The oracle}
 
-type status = NotStarted | InFlight | Window | Retired
+   Statuses, outcomes and their compositions are {!Mcheck}'s. *)
 
-let status_name = function
-  | NotStarted -> "not-started"
-  | InFlight -> "in-flight"
-  | Window -> "committed-unacknowledged"
-  | Retired -> "retired"
-
-let _ = status_name
-
-type outcome = Applied | Rolled_back
+type status = Mcheck.status = NotStarted | InFlight | Window | Retired
+type outcome = Mcheck.outcome = Applied | Rolled_back
 
 let allowed_outcomes st =
   match st with
@@ -650,29 +582,9 @@ let state_matches (st : state) (gens, codes, rptr, rgen) ~heap_only =
     ok := false;
   !ok
 
-let compositions choices_of txs statuses =
-  let rec go i acc =
-    if i < 0 then acc
-    else
-      go (i - 1)
-        (List.concat_map
-           (fun o -> List.map (fun tl -> o :: tl) acc)
-           (choices_of (List.nth txs i) statuses.(i)))
-  in
-  List.map Array.of_list (go (List.length txs - 1) [ [] ])
-
-let pp_outcomes ppf sigma =
-  Array.iteri
-    (fun i o ->
-      Format.fprintf ppf "%stx%d:%s"
-        (if i > 0 then " " else "")
-        (i + 1)
-        (match o with Applied -> "applied" | Rolled_back -> "rolled-back"))
-    sigma
-
 let check_recovered prog (statuses : status array) (st : state) =
   let legal =
-    compositions (fun _ s -> allowed_outcomes s) prog.txs statuses
+    Mcheck.compositions (fun _ s -> allowed_outcomes s) prog.txs statuses
   in
   match
     List.find_opt
@@ -682,13 +594,13 @@ let check_recovered prog (statuses : status array) (st : state) =
   | Some _ -> (
       (* legal composition; the intent cell must be quiescent and
          recovery idempotent *)
-      let m = boot st in
+      let m = Ms.boot st in
       if read_intents m <> [] then
         Error ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
       else begin
-        let m2 = boot st in
-        recover (no_crash ()) m2;
-        if not (equal_state (snapshot_durable m2) st) then
+        let m2 = Ms.boot st in
+        recover (Mr.no_crash ()) m2;
+        if not (Ms.equal_state (Ms.snapshot_durable m2) st) then
           Error
             ( "I-IDEMPOTENT-RECOVERY",
               "re-running recovery changed the durable image" )
@@ -696,11 +608,11 @@ let check_recovered prog (statuses : status array) (st : state) =
       end)
   | None -> (
       let relaxed =
-        compositions (fun _ _ -> [ Applied; Rolled_back ]) prog.txs statuses
+        Mcheck.compositions (fun _ _ -> [ Applied; Rolled_back ]) prog.txs statuses
       in
       let detail_of sigma =
         Format.asprintf "state realizes [%a] which the statuses forbid"
-          pp_outcomes sigma
+          Mcheck.pp_outcomes sigma
       in
       match
         List.find_opt
@@ -734,14 +646,14 @@ let check_recovered prog (statuses : status array) (st : state) =
 (* {1 Schedule execution, counterexamples, statistics} *)
 
 type run = {
-  m : mem;
+  m : value Ms.mem;
   statuses : status array;
   crashed : bool;
   points : int;
 }
 
 let exec_schedule ~init_live ~init_root ~ntxs sched ~stop_at =
-  let m = boot (initial_state ~init_live ~init_root) in
+  let m = Ms.boot (initial_state ~init_live ~init_root) in
   let statuses = Array.make ntxs NotStarted in
   let points = ref 0 in
   let rec go = function
@@ -751,9 +663,9 @@ let exec_schedule ~init_live ~init_root ~ntxs sched ~stop_at =
         else begin
           if is_persist_point s then incr points;
           (match s.act with
-          | St (w, v) -> store m w v
-          | Fl ws -> flush_words m ws
-          | Fence -> fence m
+          | St (w, v) -> Ms.store m w v
+          | Fl ws -> Ms.flush_words m ws
+          | Fence -> Ms.fence m
           | Mark (M_start u) -> statuses.(u - 1) <- InFlight
           | Mark (M_commit_point u) -> statuses.(u - 1) <- Window
           | Mark (M_retired u) -> statuses.(u - 1) <- Retired);
@@ -813,10 +725,10 @@ exception Found of cex
 
 let recover_and_check stats variant pidx prog statuses st ~point ~mask ~rpoint
     ~rmask =
-  let rm = boot st in
-  recover (no_crash ()) rm;
+  let rm = Ms.boot st in
+  recover (Mr.no_crash ()) rm;
   stats.recovery_runs <- stats.recovery_runs + 1;
-  let final = snapshot_durable rm in
+  let final = Ms.snapshot_durable rm in
   match check_recovered prog statuses final with
   | Ok () -> ()
   | Error (invariant, detail) ->
@@ -850,7 +762,7 @@ let check_program stats variant pidx prog ~nested =
   (* the crash-free end state, run through recovery (the unfenced tail
      of the last transaction is legitimately still in flight) *)
   recover_and_check stats variant pidx prog full.statuses
-    (snapshot_durable full.m) ~point:(-1) ~mask:0 ~rpoint:None ~rmask:None;
+    (Ms.snapshot_durable full.m) ~point:(-1) ~mask:0 ~rpoint:None ~rmask:None;
   let seen = Hashtbl.create 1024 in
   for k = 0 to full.points - 1 do
     let r =
@@ -859,11 +771,11 @@ let check_program stats variant pidx prog ~nested =
     in
     assert r.crashed;
     stats.crash_points <- stats.crash_points + 1;
-    let n = List.length (wpq_words r.m) in
-    assert (n <= max_branch_words);
+    let n = List.length (Ms.wpq_words r.m) in
+    assert (n <= Ms.max_branch_words);
     for mask = 0 to (1 lsl n) - 1 do
       stats.crash_branches <- stats.crash_branches + 1;
-      let st = crash_state r.m ~mask in
+      let st = Ms.crash_state r.m ~mask in
       let key = seen_key st r.statuses in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.add seen key ();
@@ -871,23 +783,23 @@ let check_program stats variant pidx prog ~nested =
         recover_and_check stats variant pidx prog r.statuses st ~point:k ~mask
           ~rpoint:None ~rmask:None;
         if nested then begin
-          let dry = boot st in
-          let dclk = no_crash () in
+          let dry = Ms.boot st in
+          let dclk = Mr.no_crash () in
           recover dclk dry;
           stats.recovery_runs <- stats.recovery_runs + 1;
           for rk = 0 to dclk.points - 1 do
             stats.nested_points <- stats.nested_points + 1;
-            let rm = boot st in
-            let clk = crash_at rk in
+            let rm = Ms.boot st in
+            let clk = Mr.crash_at rk in
             (try
                recover clk rm;
                assert false
-             with Crash_now -> ());
-            let rn = List.length (wpq_words rm) in
-            assert (rn <= max_branch_words);
+             with Mr.Crash_now -> ());
+            let rn = List.length (Ms.wpq_words rm) in
+            assert (rn <= Ms.max_branch_words);
             for rmask = 0 to (1 lsl rn) - 1 do
               stats.nested_branches <- stats.nested_branches + 1;
-              let st2 = crash_state rm ~mask:rmask in
+              let st2 = Ms.crash_state rm ~mask:rmask in
               let key2 = seen_key st2 r.statuses in
               if not (Hashtbl.mem seen key2) then begin
                 Hashtbl.add seen key2 ();
@@ -996,16 +908,16 @@ let replay spec =
             in
             if not r.crashed then fail "persist point %d out of range" point
             else
-              let st = crash_state r.m ~mask in
+              let st = Ms.crash_state r.m ~mask in
               let st =
                 match nested with
                 | None -> Ok st
                 | Some (rk, rmask) -> (
-                    let rm = boot st in
-                    let clk = crash_at rk in
+                    let rm = Ms.boot st in
+                    let clk = Mr.crash_at rk in
                     match recover clk rm with
                     | () -> fail "recovery point %d out of range" rk
-                    | exception Crash_now -> Ok (crash_state rm ~mask:rmask))
+                    | exception Mr.Crash_now -> Ok (Ms.crash_state rm ~mask:rmask))
               in
               match st with
               | Error _ as e -> e

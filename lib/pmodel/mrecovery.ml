@@ -155,8 +155,7 @@ let rec firstn n = function
   | x :: tl when n > 0 -> x :: firstn (n - 1) tl
   | _ -> []
 
-let recover_slot ?(variant = Mvariant.Correct) clock m s =
-  let cfg = m.Ms.cfg in
+let recover_slot ?(variant = Mvariant.Correct) clock cfg m s =
   let phase = as_int (Ms.read m (Ms.phase_w cfg s)) in
   let advisory = as_int (Ms.read m (Ms.count_w cfg s)) in
   let ndrops_f = as_int (Ms.read m (Ms.drops_w cfg s)) in
@@ -216,7 +215,7 @@ let recover_slot ?(variant = Mvariant.Correct) clock m s =
     end
   end
 
-let recover ?variant clock m =
-  for s = 0 to m.Ms.cfg.Ms.nslots - 1 do
-    recover_slot ?variant clock m s
+let recover ?variant clock cfg m =
+  for s = 0 to cfg.Ms.nslots - 1 do
+    recover_slot ?variant clock cfg m s
   done

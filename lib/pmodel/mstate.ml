@@ -2,8 +2,10 @@
 
    Memory is an array of WORDS (one word = one 8-byte atomic unit of the
    media), grouped into LINES of 8 words (one line = one 64-byte flush
-   unit).  The machine mirrors {!Pmem.Device} exactly at that
-   granularity:
+   unit).  The machine has {!Pmem.Persist_sem}'s semantics at that
+   granularity, but is written out on its own on purpose: it is the
+   reference the shipped code is judged against, so it shares no code
+   with it.
 
    - a store updates the volatile [view] and dirties its line;
    - a flush snapshots every changed word of a dirty line into the
@@ -129,14 +131,16 @@ let tab_set v sub code =
   let a, b = match v with Tab (a, b) -> (a, b) | _ -> (0, 0) in
   if sub = 0 then Tab (code, b) else Tab (a, code)
 
-(* {1 The machine} *)
+(* {1 The machine}
 
-type mem = {
-  cfg : cfg;
-  durable : value array;
-  view : value array;  (* what reads observe (durable + cached stores) *)
+   Generic in the word value type, so {!Mcow} runs its own layout and
+   values on the same machine. *)
+
+type 'v mem = {
+  durable : 'v array;
+  view : 'v array;  (* what reads observe (durable + cached stores) *)
   line_dirty : bool array;
-  wpq : (int, value) Hashtbl.t;  (* word -> flushed-but-unfenced snapshot *)
+  wpq : (int, 'v) Hashtbl.t;  (* word -> flushed-but-unfenced snapshot *)
 }
 
 type state = value array
@@ -158,12 +162,11 @@ let initial_state cfg ~init_live =
   done;
   d
 
-let boot cfg (s : state) =
+let boot (s : 'v array) =
   {
-    cfg;
     durable = Array.copy s;
     view = Array.copy s;
-    line_dirty = Array.make ((nwords cfg + words_per_line - 1) / words_per_line) false;
+    line_dirty = Array.make ((Array.length s + words_per_line - 1) / words_per_line) false;
     wpq = Hashtbl.create 16;
   }
 
@@ -172,6 +175,10 @@ let read m w = m.view.(w)
 let store m w v =
   m.view.(w) <- v;
   m.line_dirty.(w / words_per_line) <- true
+
+let capture m w =
+  if m.view.(w) <> m.durable.(w) then Hashtbl.replace m.wpq w m.view.(w)
+  else Hashtbl.remove m.wpq w
 
 (* Flush the lines containing [ws]: whole-line capture, exactly like the
    device — every word of a dirty line is snapshotted, including words
@@ -185,8 +192,7 @@ let flush_words m ws =
         let lo = l * words_per_line in
         let hi = min (lo + words_per_line) (Array.length m.view) in
         for w = lo to hi - 1 do
-          if m.view.(w) <> m.durable.(w) then Hashtbl.replace m.wpq w m.view.(w)
-          else Hashtbl.remove m.wpq w
+          capture m w
         done;
         m.line_dirty.(l) <- false
       end)
@@ -198,12 +204,7 @@ let flush_words m ws =
    models an entry whose body lines are missing from the seal's flush
    range (the tiny geometry packs what would be distinct lines of a real
    slot into one). *)
-let flush_words_only m ws =
-  List.iter
-    (fun w ->
-      if m.view.(w) <> m.durable.(w) then Hashtbl.replace m.wpq w m.view.(w)
-      else Hashtbl.remove m.wpq w)
-    ws
+let flush_words_only m ws = List.iter (capture m) ws
 
 let fence m =
   Hashtbl.iter (fun w v -> m.durable.(w) <- v) m.wpq;
@@ -218,16 +219,16 @@ let max_branch_words = 16
 
 (* The durable image if the crash lands exactly the words selected by
    [mask] (bit i = i-th word of [wpq_words], ascending). *)
-let crash_state m ~mask : state =
+let crash_state m ~mask =
   let d = Array.copy m.durable in
   List.iteri
     (fun i w -> if mask land (1 lsl i) <> 0 then d.(w) <- Hashtbl.find m.wpq w)
     (wpq_words m);
   d
 
-let snapshot_durable m : state = Array.copy m.durable
+let snapshot_durable m = Array.copy m.durable
 
-let equal_state (a : state) (b : state) = a = b
+let equal_state (a : 'v array) b = a = b
 
 let pp_state cfg ppf (s : state) =
   Array.iteri

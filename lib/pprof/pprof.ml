@@ -1,8 +1,9 @@
 module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
+module Ps = Pmem.Persist_sem
 
-let line = 64
+let line_of off = off lsr Ps.line_shift
 
 (* {1 Capture} *)
 
@@ -77,15 +78,13 @@ type report = {
 
 (* {1 Shadow analyzer}
 
-   The shadow machine mirrors the device's persist semantics per
-   64-byte line: a store dirties a line, a flush moves it to the
+   The shadow machine is the device's own persist-line kernel, fed by
+   probe events: a store dirties a line, a flush moves it to the
    write-pending queue, a fence drains the queue.  On top of it, each
    open transaction accumulates the line sets the protocol's ordering
    barriers require durable, split by region (journal/spill vs
    data/mark vs post-commit clears vs header reset), from which the
    minimal schedule falls out as contiguous-run counts per barrier. *)
-
-type lstate = Dirty | Wpq | Wpq_dirty
 
 type geom = {
   journal_base : int;
@@ -135,8 +134,7 @@ type txstate = {
 type dstate = {
   ddev : int;
   mutable geom : geom option;
-  lines : (int, lstate) Hashtbl.t;
-  mutable wpq : int; (* lines currently pending (Wpq or Wpq_dirty) *)
+  lines : Ps.t;
   spills : (int, int) Hashtbl.t; (* live spill regions: off -> len *)
   mutable pending : frec list; (* since the last fence, newest first *)
   mutable tx : txstate option;
@@ -226,8 +224,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
           {
             ddev = dev;
             geom = None;
-            lines = Hashtbl.create 256;
-            wpq = 0;
+            lines = Ps.create 0;
             spills = Hashtbl.create 4;
             pending = [];
             tx = None;
@@ -257,19 +254,14 @@ let analyze ?(label = "trace") ?(prelude = []) events =
   in
   let live = ref false in
   let on_store d off len =
-    for l = off / line to (off + len - 1) / line do
-      match Hashtbl.find_opt d.lines l with
-      | Some Wpq -> Hashtbl.replace d.lines l Wpq_dirty
-      | Some (Dirty | Wpq_dirty) -> ()
-      | None -> Hashtbl.replace d.lines l Dirty
-    done;
+    Ps.store d.lines off len;
     if d.exempt = 0 then
       match d.tx with
       | Some tx when not tx.poisoned -> (
           match d.geom with
           | None -> tx.poisoned <- true
           | Some g ->
-              let first = off / line and last = (off + len - 1) / line in
+              let first = line_of off and last = line_of (off + len - 1) in
               let add tbl =
                 for l = first to last do
                   Hashtbl.replace tbl l ()
@@ -295,16 +287,8 @@ let analyze ?(label = "trace") ?(prelude = []) events =
   in
   let on_flush d off len ns =
     let newly = ref [] in
-    for l = (off + len - 1) / line downto off / line do
-      match Hashtbl.find_opt d.lines l with
-      | Some Dirty ->
-          Hashtbl.replace d.lines l Wpq;
-          d.wpq <- d.wpq + 1;
-          newly := l :: !newly
-      | Some Wpq_dirty ->
-          Hashtbl.replace d.lines l Wpq;
-          newly := l :: !newly
-      | Some Wpq | None -> ()
+    for l = line_of (off + len - 1) downto line_of off do
+      if Ps.flush_line d.lines l >= 0 then newly := l :: !newly
     done;
     let newly = !newly in
     if !live then begin
@@ -368,7 +352,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
     end
   in
   let on_fence d ns =
-    let empty = d.wpq = 0 in
+    let empty = Ps.pending d.lines = 0 in
     (if !live then
        if d.exempt > 0 then acc.t_rv_fe <- acc.t_rv_fe + 1
        else
@@ -384,13 +368,14 @@ let analyze ?(label = "trace") ?(prelude = []) events =
                  | None -> "unknown"
                in
                let pend = List.rev d.pending in
+               (* A line a flush wrote back stays [Wpq] until a store
+                  re-dirties it; the fence has not run yet. *)
                let superseded, effective =
                  List.partition
                    (fun fr ->
                      fr.fr_newly <> []
                      && List.for_all
-                          (fun l ->
-                            Hashtbl.find_opt d.lines l = Some Wpq_dirty)
+                          (fun l -> Ps.state d.lines l <> Ps.Wpq)
                           fr.fr_newly)
                    pend
                in
@@ -463,15 +448,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
                end
              end);
     d.pending <- [];
-    let entries = Hashtbl.fold (fun l st a -> (l, st) :: a) d.lines [] in
-    List.iter
-      (fun (l, st) ->
-        match st with
-        | Wpq -> Hashtbl.remove d.lines l
-        | Wpq_dirty -> Hashtbl.replace d.lines l Dirty
-        | Dirty -> ())
-      entries;
-    d.wpq <- 0
+    Ps.drain d.lines (fun () _ _ -> ()) ()
   in
   let finish_tx d tx ~committed =
     d.tx <- None;
@@ -565,8 +542,7 @@ let analyze ?(label = "trace") ?(prelude = []) events =
     | Pr.Fence { dev; ns } -> on_fence (dstate dev) ns
     | Pr.Power_cycle { dev } ->
         let d = dstate dev in
-        Hashtbl.reset d.lines;
-        d.wpq <- 0;
+        Ps.reset d.lines;
         d.pending <- []
     | Pr.Pool_layout
         { dev; journal_base; slot_size; nslots = _; table_base; heap_base;

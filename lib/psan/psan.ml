@@ -1,6 +1,7 @@
 module Pr = Ptelemetry.Probe
 module Tr = Ptelemetry.Trace
 module Json = Ptelemetry.Json
+module Ps = Pmem.Persist_sem
 
 type violation_class = V1 | V2 | V3 | V4 | V5 | W1 | W2
 
@@ -34,32 +35,22 @@ type finding = {
   detail : string;
 }
 
-(* The device's line geometry, mirrored (psan depends only on
-   ptelemetry, so it cannot read Pmem.Device.line_size). *)
-let line_size = 64
-let line_shift = 6
-
-(* Shadow of one device's cache: absent lines are Clean. *)
-type line_state = Dirty | Wpq | Wpq_dirty
-
-(* A line's shadow also remembers WHO wrote it.  On a shared pool a
-   commit judges only the committing domain's own stores: a line another
-   domain dirtied between this member's epoch fence and its commit point
-   must not read as this member's missing flush.  [dirty_owners] are the
-   domains with stores not yet written back; [wpq_owners] those whose
-   stores sit in the write-pending queue.  Flushes are line-granular, so
-   a flush moves every dirty owner to the WPQ set at once; a fence
-   empties the WPQ set.  Single-domain behavior is unchanged. *)
-type line = {
-  mutable st : line_state;
-  mutable dirty_owners : int list;
-  mutable wpq_owners : int list;
-}
+(* The shadow of a device's cache is the device's own persist-line
+   kernel, fed by probe events.  Beside it psan remembers WHO wrote each
+   line.  On a shared pool a commit judges only the committing domain's
+   own stores: a line another domain dirtied between this member's epoch
+   fence and its commit point must not read as this member's missing
+   flush.  [dirty] are the domains with stores not yet written back;
+   [wpq] those whose stores sit in the write-pending queue.  Flushes are
+   line-granular, so a flush moves every dirty owner to the WPQ set at
+   once; a fence empties the WPQ set.  Single-domain behavior is
+   unchanged. *)
+type owners = { mutable dirty : int list; mutable wpq : int list }
 
 type dev_state = {
   mutable heap : (int * int) option; (* from Pool_attach *)
-  lines : (int, line) Hashtbl.t; (* line number -> shadow *)
-  mutable wpq : int; (* lines currently write-pending *)
+  lines : Ps.t;
+  owners : (int, owners) Hashtbl.t; (* line -> writers, while not clean *)
   dyn_exempt : (int, int) Hashtbl.t; (* live spill regions: off -> len *)
   retired : (int, int) Hashtbl.t; (* CoW-retired blocks: off -> len *)
   mutable exempt_depth : int; (* recovery bracket nesting *)
@@ -90,8 +81,8 @@ let dev_state dev =
       let ds =
         {
           heap = None;
-          lines = Hashtbl.create 256;
-          wpq = 0;
+          lines = Ps.create 0;
+          owners = Hashtbl.create 256;
           dyn_exempt = Hashtbl.create 8;
           retired = Hashtbl.create 8;
           exempt_depth = 0;
@@ -138,7 +129,7 @@ let heap_clip ds ~off ~len =
 (* {1 Findings} *)
 
 let record cls ~dev ~off ~len ~tx ~ns ~detail =
-  let key = (class_name cls, dev, off lsr line_shift) in
+  let key = (class_name cls, dev, off lsr Ps.line_shift) in
   if not (Hashtbl.mem seen key) then begin
     Hashtbl.add seen key ();
     found := { cls; dev; off; len; tx; ns; detail } :: !found;
@@ -169,15 +160,11 @@ let tx_id_of dev = Option.map (fun t -> t.tx_id) (tx_of dev)
 let add_owner d owners = if List.mem d owners then owners else d :: owners
 
 let mark_store ds ~who off len =
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
-  for l = first to last do
-    match Hashtbl.find_opt ds.lines l with
-    | None ->
-        Hashtbl.replace ds.lines l
-          { st = Dirty; dirty_owners = [ who ]; wpq_owners = [] }
-    | Some ln ->
-        (match ln.st with Wpq -> ln.st <- Wpq_dirty | Dirty | Wpq_dirty -> ());
-        ln.dirty_owners <- add_owner who ln.dirty_owners
+  Ps.store ds.lines off len;
+  for l = off lsr Ps.line_shift to (off + len - 1) lsr Ps.line_shift do
+    match Hashtbl.find_opt ds.owners l with
+    | None -> Hashtbl.replace ds.owners l { dirty = [ who ]; wpq = [] }
+    | Some o -> o.dirty <- add_owner who o.dirty
   done
 
 let on_store ~dev ~off ~len ~ns =
@@ -220,53 +207,36 @@ let on_store ~dev ~off ~len ~ns =
 
 let on_flush ~dev ~off ~len ~ns =
   let ds = dev_state dev in
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
   let useful = ref false in
-  for l = first to last do
-    match Hashtbl.find_opt ds.lines l with
-    | Some ({ st = Dirty; _ } as ln) ->
-        useful := true;
-        ln.st <- Wpq;
-        ln.wpq_owners <-
-          List.fold_left (fun acc d -> add_owner d acc) ln.wpq_owners
-            ln.dirty_owners;
-        ln.dirty_owners <- [];
-        ds.wpq <- ds.wpq + 1
-    | Some ({ st = Wpq_dirty; _ } as ln) ->
-        useful := true;
-        ln.st <- Wpq;
-        ln.wpq_owners <-
-          List.fold_left (fun acc d -> add_owner d acc) ln.wpq_owners
-            ln.dirty_owners;
-        ln.dirty_owners <- []
-    | Some { st = Wpq; _ } | None -> ()
+  for l = off lsr Ps.line_shift to (off + len - 1) lsr Ps.line_shift do
+    if Ps.flush_line ds.lines l >= 0 then begin
+      useful := true;
+      match Hashtbl.find_opt ds.owners l with
+      | Some o ->
+          o.wpq <- List.fold_left (fun acc d -> add_owner d acc) o.wpq o.dirty;
+          o.dirty <- []
+      | None -> ()
+    end
   done;
   if (not !useful) && ds.exempt_depth = 0 then
     record W1 ~dev ~off ~len ~tx:(tx_id_of dev) ~ns
       ~detail:"flushed lines held no unwritten-back data"
 
+(* A drained line's write-pending writers are durable; a line with no
+   writer left is clean and forgotten. *)
+let release owners l _slot =
+  match Hashtbl.find_opt owners l with
+  | Some { dirty = []; _ } -> Hashtbl.remove owners l
+  | Some o -> o.wpq <- []
+  | None -> ()
+
 let on_fence ~dev ~ns =
   let ds = dev_state dev in
-  let empty = ds.wpq = 0 in
+  let empty = Ps.pending ds.lines = 0 in
   if empty && ds.last_fence_empty && ds.exempt_depth = 0 then
     record W2 ~dev ~off:0 ~len:0 ~tx:(tx_id_of dev) ~ns
       ~detail:"consecutive fences with an empty write-pending queue";
-  let pending =
-    Hashtbl.fold
-      (fun l ln acc ->
-        match ln.st with Wpq | Wpq_dirty -> (l, ln) :: acc | Dirty -> acc)
-      ds.lines []
-  in
-  List.iter
-    (fun (l, ln) ->
-      match ln.st with
-      | Wpq -> Hashtbl.remove ds.lines l
-      | Wpq_dirty ->
-          ln.st <- Dirty;
-          ln.wpq_owners <- []
-      | Dirty -> ())
-    pending;
-  ds.wpq <- 0;
+  Ps.drain ds.lines release ds.owners;
   ds.last_fence_empty <- empty
 
 (* At the commit point every range the transaction stored must already
@@ -281,15 +251,14 @@ let check_commit ds tx ~who ~dev ~ns =
   tx.commit_seen <- true;
   List.iter
     (fun (o, l) ->
-      let first = o lsr line_shift and last = (o + l - 1) lsr line_shift in
-      for ln = first to last do
-        match Hashtbl.find_opt ds.lines ln with
-        | Some sh when List.mem who sh.dirty_owners ->
-            record V2 ~dev ~off:(ln lsl line_shift) ~len:line_size
+      for ln = o lsr Ps.line_shift to (o + l - 1) lsr Ps.line_shift do
+        match Hashtbl.find_opt ds.owners ln with
+        | Some w when List.mem who w.dirty ->
+            record V2 ~dev ~off:(ln lsl Ps.line_shift) ~len:Ps.line_size
               ~tx:(Some tx.tx_id) ~ns
               ~detail:"line still dirty at commit point (missing flush)"
-        | Some sh when List.mem who sh.wpq_owners ->
-            record V3 ~dev ~off:(ln lsl line_shift) ~len:line_size
+        | Some w when List.mem who w.wpq ->
+            record V3 ~dev ~off:(ln lsl Ps.line_shift) ~len:Ps.line_size
               ~tx:(Some tx.tx_id) ~ns
               ~detail:
                 "line write-pending at commit point (flush without fence)"
@@ -311,10 +280,10 @@ let on_event ev =
              recovery, so their exemptions die with them.  User
              exemptions are statements about regions and survive. *)
           let ds = dev_state dev in
-          Hashtbl.reset ds.lines;
+          Ps.reset ds.lines;
+          Hashtbl.reset ds.owners;
           Hashtbl.reset ds.dyn_exempt;
           Hashtbl.reset ds.retired;
-          ds.wpq <- 0;
           ds.exempt_depth <- 0;
           ds.last_fence_empty <- false;
           Hashtbl.filter_map_inplace

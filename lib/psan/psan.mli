@@ -1,8 +1,9 @@
 (** Online persist-ordering and logging sanitizer.
 
     Psan subscribes to the {!Ptelemetry.Probe} bus and replays every
-    store, flush and fence through a shadow state machine per 64-byte
-    line (Clean → Dirty → write-pending → durable), tracking in
+    store, flush and fence through the device's own persist-line kernel
+    ({!Pmem.Persist_sem}: Clean → Dirty → write-pending → durable),
+    tracking in
     parallel which heap ranges the open transaction has undo-logged or
     freshly allocated.  It judges the event stream online and reports
     each violation with the offset, the line's shadow state, the owning

@@ -177,6 +177,34 @@ let test_power_cycle_without_crash_drops_cache () =
   check_i64 "persisted kept" 3L (D.read_u64 d 0);
   check_i64 "cached dropped" 0L (D.read_u64 d 8)
 
+(* The power cycle re-reads from media only the lines holding cached
+   stores; every other line's view must already equal media.  Whatever
+   each pending line's fate, the view after the cycle equals the durable
+   image, as a device loaded from that image sees it. *)
+let test_power_cycle_view_is_media () =
+  let path = Filename.temp_file "pmem_view" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let d = mk ~size:1024 ~path () in
+      for l = 0 to 15 do
+        D.write_u64 d (l * D.line_size) (Int64.of_int (l + 1))
+      done;
+      D.persist d 0 1024;
+      for l = 1 to 12 do
+        D.write_u64 d ((l * D.line_size) + 8) 7L
+      done;
+      List.iter (fun l -> D.flush d (l * D.line_size) D.line_size) [ 12; 6; 2; 4; 10; 8; 11; 9 ];
+      D.write_u64 d ((4 * D.line_size) + 16) 9L;
+      D.set_torn_write_prob d 0.5;
+      D.power_cycle d;
+      D.save d;
+      Alcotest.(check string) "view equals media"
+        (D.read_string (D.load path) 0 1024)
+        (D.read_string d 0 1024);
+      check_i64 "untouched line kept" 16L (D.read_u64 d (15 * D.line_size));
+      check_i64 "unflushed store lost" 0L (D.read_u64 d ((1 * D.line_size) + 8)))
+
 let test_size_rounding () =
   let d = mk ~size:100 () in
   check_int "rounded up to line multiple" 128 (D.size d)
@@ -189,6 +217,115 @@ let test_flush_spanning_lines () =
   Alcotest.(check string) "both lines durable"
     (String.make 8 '\xFF')
     (D.read_string d 60 8)
+
+(* --- the persist-line kernel ------------------------------------------ *)
+
+module Ps = Pmem.Persist_sem
+
+let state_name = function
+  | Ps.Clean -> "Clean"
+  | Ps.Dirty -> "Dirty"
+  | Ps.Wpq -> "Wpq"
+  | Ps.Wpq_dirty -> "Wpq_dirty"
+
+let line_off l = l * Ps.line_size
+
+(* Every state x {store, flush, fence, power cycle} on line 3 of a fresh
+   kernel: the state it lands in, flush's result (slot 0 when the line
+   becomes newly pending, else -1) and the pending count after. *)
+let test_kernel_transitions () =
+  let l = 3 in
+  let store k = Ps.store k (line_off l + 8) 8 in
+  let reach = function
+    | Ps.Clean -> []
+    | Ps.Dirty -> [ `Store ]
+    | Ps.Wpq -> [ `Store; `Flush ]
+    | Ps.Wpq_dirty -> [ `Store; `Flush; `Store ]
+  in
+  let apply k = function
+    | `Store -> store k; -1
+    | `Flush -> Ps.flush_line k l
+    | `Fence -> Ps.drain k (fun () _ _ -> ()) (); -1
+    | `Power_cycle -> Ps.reset k; -1
+  in
+  let op_name = function
+    | `Store -> "store"
+    | `Flush -> "flush"
+    | `Fence -> "fence"
+    | `Power_cycle -> "power cycle"
+  in
+  List.iter
+    (fun (from, op, want, want_flush, want_pending) ->
+      let k = Ps.create 8 in
+      List.iter (fun o -> ignore (apply k o)) (reach from);
+      Alcotest.(check string) "reached" (state_name from) (state_name (Ps.state k l));
+      let r = apply k op in
+      let what = Printf.sprintf "%s, %s" (state_name from) (op_name op) in
+      Alcotest.(check string) (what ^ ": state") (state_name want)
+        (state_name (Ps.state k l));
+      if op = `Flush then check_int (what ^ ": flush result") want_flush r;
+      check_int (what ^ ": pending") want_pending (Ps.pending k))
+    Ps.
+      [
+        (Clean, `Store, Dirty, -1, 0);
+        (Clean, `Flush, Clean, -1, 0);
+        (Clean, `Fence, Clean, -1, 0);
+        (Clean, `Power_cycle, Clean, -1, 0);
+        (Dirty, `Store, Dirty, -1, 0);
+        (Dirty, `Flush, Wpq, 0, 1);
+        (Dirty, `Fence, Dirty, -1, 0);
+        (Dirty, `Power_cycle, Clean, -1, 0);
+        (Wpq, `Store, Wpq_dirty, -1, 1);
+        (Wpq, `Flush, Wpq, -1, 1);
+        (Wpq, `Fence, Clean, -1, 0);
+        (Wpq, `Power_cycle, Clean, -1, 0);
+        (Wpq_dirty, `Store, Wpq_dirty, -1, 1);
+        (Wpq_dirty, `Flush, Wpq, 0, 1);
+        (Wpq_dirty, `Fence, Dirty, -1, 0);
+        (Wpq_dirty, `Power_cycle, Clean, -1, 0);
+      ]
+
+(* Lines enter the queue out of order; a re-flushed line keeps its slot;
+   the fence drains in ascending line order, once per line. *)
+let test_kernel_drain_order () =
+  let k = Ps.create 16 in
+  let slots =
+    List.map
+      (fun l ->
+        Ps.store k (line_off l) 1;
+        Ps.flush_line k l)
+      [ 9; 3; 7; 1 ]
+  in
+  Alcotest.(check (list int)) "slots in arrival order" [ 0; 1; 2; 3 ] slots;
+  Ps.store k (line_off 3) 1;
+  check_int "re-flush keeps its slot" 1 (Ps.flush_line k 3);
+  check_int "pending" 4 (Ps.pending k);
+  let drained = ref [] in
+  Ps.drain k (fun acc l slot -> acc := (l, slot) :: !acc) drained;
+  Alcotest.(check (list (pair int int)))
+    "ascending drain" [ (1, 3); (3, 1); (7, 2); (9, 0) ] (List.rev !drained);
+  check_int "queue empty" 0 (Ps.pending k);
+  Ps.store k (line_off 5) 1;
+  check_int "slots restart after a fence" 0 (Ps.flush_line k 5);
+  Ps.store k (line_off 12) 1;
+  let unclean = ref [] in
+  Ps.iter_unclean k (fun acc l -> acc := l :: !acc) unclean;
+  Alcotest.(check (list int)) "unclean lines, ascending" [ 5; 12 ] (List.rev !unclean)
+
+(* A shadow starts with no lines and grows when a store first lands past
+   its end; flushing a line it never saw is a no-op. *)
+let test_kernel_growth () =
+  let k = Ps.create 0 in
+  Alcotest.(check string) "unseen line" "Clean" (state_name (Ps.state k 100));
+  check_int "flush of an unseen line" (-1) (Ps.flush_line k 100);
+  Ps.store k (line_off 100 + 60) 8 (* lines 100 and 101 *);
+  Alcotest.(check string) "grown" "Dirty" (state_name (Ps.state k 101));
+  Alcotest.(check string) "below untouched" "Clean" (state_name (Ps.state k 99));
+  check_int "flush after growth" 0 (Ps.flush_line k 100);
+  Ps.store k (line_off 5000) 1;
+  Alcotest.(check string) "kept across growth" "Wpq" (state_name (Ps.state k 100));
+  Alcotest.(check string) "far line" "Dirty" (state_name (Ps.state k 5000));
+  check_int "pending" 1 (Ps.pending k)
 
 let qcheck_persisted_survives =
   QCheck.Test.make ~name:"persisted writes always survive power cycles"
@@ -294,6 +431,8 @@ let () =
             test_fence_only_drains_flushed;
           Alcotest.test_case "restart drops cache" `Quick
             test_power_cycle_without_crash_drops_cache;
+          Alcotest.test_case "power cycle: view equals media" `Quick
+            test_power_cycle_view_is_media;
           Alcotest.test_case "flush spanning lines" `Quick
             test_flush_spanning_lines;
         ] );
@@ -315,6 +454,12 @@ let () =
           Alcotest.test_case "stats and simulated time" `Quick
             test_stats_and_time;
           Alcotest.test_case "latency presets" `Quick test_latency_presets;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "transition table" `Quick test_kernel_transitions;
+          Alcotest.test_case "ascending drain" `Quick test_kernel_drain_order;
+          Alcotest.test_case "grows on first touch" `Quick test_kernel_growth;
         ] );
       ( "property",
         [
