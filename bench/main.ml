@@ -398,9 +398,7 @@ let run_instrumented ~trace ~metrics ~psan ~psan_json =
 
 (* --json: the deterministic per-engine attribution mix (flushes, fences,
    logged bytes and simulated ns per op) as machine-readable JSON — the
-   CI regression gate diffs this against a committed baseline.  One op
-   per line so the --baseline comparison can parse it without a JSON
-   library. *)
+   CI regression gate diffs this against a committed baseline. *)
 let attribution_json () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"schema\": \"corundum-bench-v1\",\n";
@@ -428,61 +426,39 @@ let attribution_json () =
   Buffer.add_string buf "\n  ]\n}";
   Buffer.contents buf
 
-(* Minimal extraction from the one-op-per-line JSON above; tolerant of
-   whitespace but not of reformatting — the file is machine-written. *)
-let find_sub line pat =
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let str_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": \"" key) with
-  | None -> None
-  | Some start ->
-      String.index_from_opt line start '"'
-      |> Option.map (fun j -> String.sub line start (j - start))
-
-let num_field line key =
-  match find_sub line (Printf.sprintf "\"%s\": " key) with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      let n = String.length line in
-      while
-        !stop < n
-        && match line.[!stop] with '0' .. '9' | '.' | '-' -> true | _ -> false
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
 
 (* (engine, op) -> (flushes_per_op, fences_per_op) rows of a bench JSON
    file.  Both persist primitives are gated: the fence count alone would
    not catch a regression that reintroduces per-mark table flushes under
    the same single commit fence. *)
 let parse_persist_rows path =
-  let ic = open_in path in
-  let rows = ref [] and engine = ref "" in
-  (try
-     while true do
-       let line = input_line ic in
-       (match str_field line "engine" with
-       | Some e -> engine := e
-       | None -> ());
-       match
-         ( str_field line "op",
-           num_field line "flushes_per_op",
-           num_field line "fences_per_op" )
-       with
-       | Some op, Some fl, Some fe -> rows := ((!engine, op), (fl, fe)) :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> close_in ic);
-  List.rev !rows
+  let module J = Ptelemetry.Json in
+  let field k conv v = Option.bind (J.mem k v) conv in
+  match field "engines" J.list (J.of_string (read_file path)) with
+  | Some engines ->
+      List.concat_map
+        (fun e ->
+          match (field "engine" J.str e, field "ops" J.list e) with
+          | Some engine, Some ops ->
+              List.filter_map
+                (fun op ->
+                  match
+                    ( field "op" J.str op,
+                      field "flushes_per_op" J.num op,
+                      field "fences_per_op" J.num op )
+                  with
+                  | Some name, Some fl, Some fe -> Some ((engine, name), (fl, fe))
+                  | _ -> None)
+                ops
+          | _ -> [])
+        engines
+  | None -> []
 
 let compare_against_baseline ~current ~baseline =
   let base = parse_persist_rows baseline in
@@ -523,13 +499,6 @@ let compare_against_baseline ~current ~baseline =
   end
 
 (* --- persist-waste profile (ROADMAP item 3) ----------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
 
 (* The waste gate is one-directional: waste per op may only go down (a
    small epsilon absorbs float formatting).  Engines or ops absent from

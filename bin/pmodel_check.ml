@@ -1,13 +1,15 @@
 (* Exhaustive crash-state model checking of the persistence protocols
-   — the journal/recovery family ({!Mcheck}) and the CoW root
-   swap/intent family ({!Mcow}) — plus trace-driven conformance of the
-   real implementation against the model.
+   — the journal/recovery family ({!Mjournal}) and the CoW root
+   swap/intent family ({!Mcow}), both enumerated by {!Mcheck} — plus
+   trace-driven conformance of the real implementation against the
+   model.
 
      pmodel_check check                 # full space, zero violations expected
      pmodel_check check --json stats.json --baseline PMODEL_baseline.json
      pmodel_check controls              # every seeded bug must be caught
      pmodel_check conform transfer kvstore
-     pmodel_check replay 'correct:1:0:12:7:3'
+     pmodel_check replay 'correct:1:0:12:3:1'
+     pmodel_check replay 'partial-merge:2:1:4:-1:0'   # crash-free run
      pmodel_check replay 'swap-before-flush:cow:0:1:1'
 
    [check] exits non-zero on any counterexample, and (with --baseline)
@@ -15,9 +17,8 @@
    drops below the committed baseline — a shrinking space means the
    checker lost coverage. *)
 
-module Ms = Pmodel.Mstate
 module Mc = Pmodel.Mcheck
-module Mw = Pmodel.Mcow
+module Mf = Pmodel.Mfamilies
 module Mv = Pmodel.Mvariant
 module J = Ptelemetry.Json
 
@@ -26,15 +27,6 @@ let write_json path json =
   output_string oc (J.to_string json);
   output_char oc '\n';
   close_out oc
-
-(* Which model families a variant exercises: the journal mutations run
-   through {!Mcheck}, the CoW mutation through {!Mcow}, and the correct
-   protocol through both (their stats are summed for the baseline). *)
-let families variant =
-  match variant with
-  | Mv.Correct -> (true, true)
-  | Mv.Swap_before_flush -> (false, true)
-  | _ -> (true, false)
 
 let sum_fields lists =
   List.fold_left
@@ -71,26 +63,26 @@ let run_check variant_name no_nested json baseline =
   | Some variant -> (
       let t0 = Unix.gettimeofday () in
       let nested = not no_nested in
-      let journal, cow = families variant in
-      let jr = if journal then Some (Mc.run ~nested variant) else None in
-      let cr = if cow then Some (Mw.run ~nested variant) else None in
+      (* every family the variant runs in; the correct protocol's stats
+         are summed over them for the baseline *)
+      let reports =
+        List.filter_map
+          (fun f ->
+            if Mc.carries f variant then
+              let r = Mc.run ~nested f variant in
+              Some (Mc.name f, Mc.stats_fields r.stats, r.cex)
+            else None)
+          Mf.all
+      in
       let dt = Unix.gettimeofday () -. t0 in
       Printf.printf "variant %s: %s\n" (Mv.name variant) (Mv.describe variant);
-      let jfields =
-        Option.map (fun (r : Mc.report) -> Mc.stats_fields r.Mc.stats) jr
-      and cfields =
-        Option.map (fun (r : Mw.report) -> Mw.stats_fields r.Mw.stats) cr
-      in
-      Option.iter (print_fields "journal: ") jfields;
-      Option.iter (print_fields "cow:     ") cfields;
-      let fields = sum_fields (List.filter_map Fun.id [ jfields; cfields ]) in
-      if jfields <> None && cfields <> None then print_fields "total:   " fields;
+      let label name = Printf.sprintf "%-9s" (name ^ ":") in
+      List.iter (fun (name, fields, _) -> print_fields (label name) fields) reports;
+      let fields = sum_fields (List.map (fun (_, fields, _) -> fields) reports) in
+      if List.length reports > 1 then print_fields (label "total") fields;
       Printf.printf "%.2fs\n" dt;
-      let jcex = Option.bind jr (fun (r : Mc.report) -> r.Mc.cex)
-      and ccex = Option.bind cr (fun (r : Mw.report) -> r.Mw.cex) in
-      let violations =
-        (if jcex <> None then 1 else 0) + if ccex <> None then 1 else 0
-      in
+      let cexs = List.filter_map (fun (_, _, cex) -> cex) reports in
+      let violations = List.length cexs in
       (match json with
       | None -> ()
       | Some path -> write_json path (stats_json variant fields ~violations));
@@ -114,8 +106,7 @@ let run_check variant_name no_nested json baseline =
           | _ ->
               Printf.eprintf "pmodel_check: %s: no crash_branches field\n" path;
               exit 2));
-      Option.iter (fun c -> Format.printf "%a" Mc.pp_cex c) jcex;
-      Option.iter (fun c -> Format.printf "%a" Mw.pp_cex c) ccex;
+      List.iter (Format.printf "%a" Mc.pp_cex) cexs;
       match violations with
       | 0 -> Printf.printf "no violations\n"
       | _ -> exit 1)
@@ -123,33 +114,42 @@ let run_check variant_name no_nested json baseline =
 (* Positive controls: every deliberately broken protocol variant must
    yield a counterexample, or the checker itself has gone blind. *)
 let run_controls json =
-  (* (variant, caught, invariant, repro) — each broken variant runs in
-     the family its mutation belongs to *)
+  (* (variant, outcome): each broken variant runs in the family its
+     mutation belongs to, and a counterexample counts only if its
+     printed repro replays to the same invariant *)
   let results =
     List.map
       (fun v ->
-        match families v with
-        | _, true ->
-            let r = Mw.run ~nested:false v in
-            ( v,
-              Option.map
-                (fun (c : Mw.cex) -> (c.Mw.invariant, Mw.repro_string c))
-                r.Mw.cex )
-        | _ ->
-            let r = Mc.run ~nested:false v in
-            ( v,
-              Option.map
-                (fun (c : Mc.cex) -> (c.Mc.invariant, Mc.repro_string c))
-                r.Mc.cex ))
+        let cex =
+          List.find_map
+            (fun f ->
+              if Mc.carries f v then (Mc.run ~nested:false f v).cex else None)
+            Mf.all
+        in
+        ( v,
+          Option.map
+            (fun (c : Mc.cex) ->
+              let repro = Mc.repro_string c in
+              match Mc.replay Mf.all repro with
+              | Ok (Some c') when c'.invariant = c.invariant ->
+                  Ok (c.invariant, repro)
+              | _ -> Error repro)
+            cex ))
       Mv.broken
   in
+  let caught = function Some (Ok c) -> Some c | _ -> None in
   let missed = ref 0 in
   List.iter
-    (fun (v, caught) ->
-      match caught with
-      | Some (invariant, repro) ->
+    (fun (v, outcome) ->
+      match outcome with
+      | Some (Ok (invariant, repro)) ->
           Printf.printf "%-22s caught: %s  (replay '%s')\n" (Mv.name v)
             invariant repro
+      | Some (Error repro) ->
+          incr missed;
+          Printf.printf
+            "%-22s MISSED: repro '%s' does not replay to the same violation\n"
+            (Mv.name v) repro
       | None ->
           incr missed;
           Printf.printf "%-22s MISSED: no counterexample for a seeded bug\n"
@@ -165,13 +165,13 @@ let run_controls json =
              ( "controls",
                J.List
                  (List.map
-                    (fun (v, caught) ->
+                    (fun (v, outcome) ->
                       J.Obj
                         [
                           ("variant", J.Str (Mv.name v));
-                          ("caught", J.Bool (caught <> None));
+                          ("caught", J.Bool (caught outcome <> None));
                           ( "invariant",
-                            match caught with
+                            match caught outcome with
                             | Some (invariant, _) -> J.Str invariant
                             | None -> J.Null );
                         ])
@@ -180,30 +180,14 @@ let run_controls json =
   if !missed > 0 then exit 1
 
 let run_replay spec =
-  (* CoW-family specs carry a "cow" tag in the second field *)
-  let is_cow =
-    match String.split_on_char ':' spec with
-    | _ :: "cow" :: _ -> true
-    | _ -> false
-  in
-  if is_cow then
-    match Mw.replay spec with
-    | Error e ->
-        Printf.eprintf "pmodel_check: %s\n" e;
-        exit 2
-    | Ok None -> Printf.printf "branch recovers to a legal state\n"
-    | Ok (Some c) ->
-        Format.printf "%a" Mw.pp_cex c;
-        exit 1
-  else
-    match Mc.replay spec with
-    | Error e ->
-        Printf.eprintf "pmodel_check: %s\n" e;
-        exit 2
-    | Ok None -> Printf.printf "branch recovers to a legal state\n"
-    | Ok (Some c) ->
-        Format.printf "%a" Mc.pp_cex c;
-        exit 1
+  match Mc.replay Mf.all spec with
+  | Error e ->
+      Printf.eprintf "pmodel_check: %s\n" e;
+      exit 2
+  | Ok None -> Printf.printf "branch recovers to a legal state\n"
+  | Ok (Some c) ->
+      Format.printf "%a" Mc.pp_cex c;
+      exit 1
 
 (* Conformance: run real scenarios with the probe bus captured and
    validate the event stream against the model's protocol order.  Each
@@ -371,7 +355,7 @@ let spec_arg =
         ~doc:
           "Repro spec: VARIANT:NSLOTS:SPLIT:PROG:POINT:MASK[:RPOINT:RMASK] \
            for the journal family, VARIANT:cow:PROG:POINT:MASK[:RPOINT:RMASK] \
-           for the CoW family.")
+           for the CoW family; POINT -1 is the crash-free run.")
 
 let replay_cmd =
   Cmd.v

@@ -2,13 +2,10 @@
    protocol: the {!Corundum.Cow_root} intent/swap/recovery family over
    {!Pjournal.Protocol.cow_commit_plan}.
 
-   Same discipline as {!Mcheck}, {!Mstate}'s machine, own layout: crash the
-   writer before every persist point, enumerate EVERY torn-word outcome
-   of the write-pending queue, run a step-for-step mirror of
-   [Cow_root.recover] on each distinct durable image, and assert
-   durable linearizability plus intent quiescence and idempotent
-   recovery.  Crashes at persist points inside recovery are enumerated
-   too (depth 1).
+   A family of {!Mcheck}'s enumerator on {!Mstate}'s machine, with its
+   own layout: its recovery is a step-for-step mirror of
+   [Cow_root.recover], and its oracle adds the root word to durable
+   linearizability and intent quiescence (I-QUIESCENT-INTENT).
 
    Aborts are not modeled: the engine's abort is purely volatile
    (reservations cancelled, nothing of an uncommitted transaction was
@@ -28,6 +25,7 @@
    invalidates every intent it reads, including stale generations. *)
 
 module Pt = Pjournal.Protocol
+open Mcheck
 
 (* {1 Layout}
 
@@ -119,13 +117,6 @@ let initial_state ~init_live ~init_root : state =
   done;
   d
 
-let pp_state ppf (s : state) =
-  Array.iteri
-    (fun w v ->
-      if v <> Int 0 then
-        Format.fprintf ppf "  %-16s = %a@." (word_name w) pp_value v)
-    s
-
 (* {1 Programs} *)
 
 type op = Pub of int | Alloc of int | Free of int | Set_root of int
@@ -177,28 +168,6 @@ let programs : program list =
     mk "bare-swap;bare-swap" [| true; true |] 1
       [ t [ Set_root 2 ]; t [ Set_root 1 ] ];
   ]
-
-(* {1 Schedule steps} *)
-
-type marker = M_start of int | M_commit_point of int | M_retired of int
-
-type act = St of int * value | Fl of int list | Fence | Mark of marker
-type step = { act : act; lbl : string }
-
-let is_persist_point s =
-  match s.act with Fl _ | Fence -> true | St _ | Mark _ -> false
-
-let pp_step ppf s =
-  (match s.act with
-  | St (w, v) ->
-      Format.fprintf ppf "st   %-16s <- %a" (word_name w) pp_value v
-  | Fl ws ->
-      Format.fprintf ppf "fl   %s" (String.concat "," (List.map word_name ws))
-  | Fence -> Format.fprintf ppf "fence"
-  | Mark (M_start u) -> Format.fprintf ppf "-- tx%d begins" u
-  | Mark (M_commit_point u) -> Format.fprintf ppf "-- tx%d commit point" u
-  | Mark (M_retired u) -> Format.fprintf ppf "-- tx%d retired" u);
-  if s.lbl <> "" then Format.fprintf ppf "   [%s]" s.lbl
 
 (* {1 Expansion}
 
@@ -388,7 +357,7 @@ let gen_tx ctx buf ~uid tx =
     ctx.gen <- igen
   end
 
-let schedule variant (p : program) : step list =
+let schedule variant (p : program) : value step list =
   let ctx =
     {
       variant;
@@ -526,14 +495,9 @@ let recover clk m =
       end)
     recs
 
-(* {1 The oracle}
+(* {1 The oracle} *)
 
-   Statuses, outcomes and their compositions are {!Mcheck}'s. *)
-
-type status = Mcheck.status = NotStarted | InFlight | Window | Retired
-type outcome = Mcheck.outcome = Applied | Rolled_back
-
-let allowed_outcomes st =
+let allowed_outcomes _prog _i st =
   match st with
   | NotStarted | InFlight -> [ Rolled_back ]
   | Window -> [ Rolled_back; Applied ]
@@ -572,7 +536,8 @@ let expected prog sigma =
   (gens, codes, !rptr, !rgen)
 
 (* Free blocks hold dead bytes — only live blocks' generations count. *)
-let state_matches (st : state) (gens, codes, rptr, rgen) ~heap_only =
+let state_matches () prog sigma (st : state) ~heap_only =
+  let gens, codes, rptr, rgen = expected prog sigma in
   let ok = ref true in
   for b = 0 to nblocks - 1 do
     if codes.(b) > 0 && st.(heap_w b) <> Gen gens.(b) then ok := false;
@@ -582,356 +547,38 @@ let state_matches (st : state) (gens, codes, rptr, rgen) ~heap_only =
     ok := false;
   !ok
 
-let check_recovered prog (statuses : status array) (st : state) =
-  let legal =
-    Mcheck.compositions (fun _ s -> allowed_outcomes s) prog.txs statuses
-  in
-  match
-    List.find_opt
-      (fun s -> state_matches st (expected prog s) ~heap_only:false)
-      legal
-  with
-  | Some _ -> (
-      (* legal composition; the intent cell must be quiescent and
-         recovery idempotent *)
-      let m = Ms.boot st in
-      if read_intents m <> [] then
-        Error ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
-      else begin
-        let m2 = Ms.boot st in
-        recover (Mr.no_crash ()) m2;
-        if not (Ms.equal_state (Ms.snapshot_durable m2) st) then
-          Error
-            ( "I-IDEMPOTENT-RECOVERY",
-              "re-running recovery changed the durable image" )
-        else Ok ()
-      end)
-  | None -> (
-      let relaxed =
-        Mcheck.compositions (fun _ _ -> [ Applied; Rolled_back ]) prog.txs statuses
-      in
-      let detail_of sigma =
-        Format.asprintf "state realizes [%a] which the statuses forbid"
-          Mcheck.pp_outcomes sigma
-      in
-      match
-        List.find_opt
-          (fun s -> state_matches st (expected prog s) ~heap_only:false)
-          relaxed
-      with
-      | Some sigma ->
-          let forced = ref false in
-          Array.iteri
-            (fun i o ->
-              if o = Applied && allowed_outcomes statuses.(i) = [ Rolled_back ]
-              then forced := true)
-            sigma;
-          if !forced then Error ("I-UNCOMMITTED-ROLLED-BACK", detail_of sigma)
-          else Error ("I-COMMITTED-DURABLE", detail_of sigma)
-      | None ->
-          if
-            List.exists
-              (fun s -> state_matches st (expected prog s) ~heap_only:true)
-              relaxed
-          then
-            Error
-              ( "I-TABLE-LIVENESS",
-                "heap matches a composition but table/root words match none" )
-          else
-            Error
-              ( "I-ATOMIC",
-                "state matches no transactional composition (partial effects)"
-              ))
+(* {1 The CoW family}
 
-(* {1 Schedule execution, counterexamples, statistics} *)
+   One config.  The crash-free end image goes through recovery: the
+   last transaction's unfenced tail is legitimately still in flight. *)
 
-type run = {
-  m : value Ms.mem;
-  statuses : status array;
-  crashed : bool;
-  points : int;
-}
-
-let exec_schedule ~init_live ~init_root ~ntxs sched ~stop_at =
-  let m = Ms.boot (initial_state ~init_live ~init_root) in
-  let statuses = Array.make ntxs NotStarted in
-  let points = ref 0 in
-  let rec go = function
-    | [] -> false
-    | s :: tl ->
-        if is_persist_point s && !points = stop_at then true
-        else begin
-          if is_persist_point s then incr points;
-          (match s.act with
-          | St (w, v) -> Ms.store m w v
-          | Fl ws -> Ms.flush_words m ws
-          | Fence -> Ms.fence m
-          | Mark (M_start u) -> statuses.(u - 1) <- InFlight
-          | Mark (M_commit_point u) -> statuses.(u - 1) <- Window
-          | Mark (M_retired u) -> statuses.(u - 1) <- Retired);
-          go tl
-        end
-  in
-  let crashed = go sched in
-  { m; statuses; crashed; points = !points }
-
-type cex = {
-  variant : Mvariant.t;
-  pidx : int;
-  prog : program;
-  point : int;
-  mask : int;
-  rpoint : int option;
-  rmask : int option;
-  invariant : string;
-  detail : string;
-  crash : state;
-  recovered : state;
-}
-
-type stats = {
-  mutable programs : int;
-  mutable crash_points : int;
-  mutable crash_branches : int;
-  mutable distinct_states : int;
-  mutable recovery_runs : int;
-  mutable nested_points : int;
-  mutable nested_branches : int;
-}
-
-let fresh_stats () =
+let family =
   {
-    programs = 0;
-    crash_points = 0;
-    crash_branches = 0;
-    distinct_states = 0;
-    recovery_runs = 0;
-    nested_points = 0;
-    nested_branches = 0;
+    name = "cow";
+    tag = Mvariant.Cow;
+    cfgs = [ () ];
+    programs = (fun () -> programs);
+    ntxs = (fun p -> List.length p.txs);
+    schedule = (fun () -> schedule);
+    initial =
+      (fun () p -> initial_state ~init_live:p.init_live ~init_root:p.init_root);
+    recover = (fun _variant clk () m -> recover clk m);
+    allowed = allowed_outcomes;
+    matches = state_matches;
+    quiescent =
+      (fun () st ->
+        if read_intents (Ms.boot st) <> [] then
+          Some ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
+        else None);
+    liveness_detail = "heap matches a composition but table/root words match none";
+    recovers_end = true;
+    title = "CoW family, ";
+    describe = (fun () p -> p.descr);
+    tx_names = (fun p -> List.map tx_name p.txs);
+    word_name = (fun () -> word_name);
+    name_width = 16;
+    pp_value;
+    blank = Int 0;
+    cfg_key = (fun () -> "cow");
+    parse_cfg = (function "cow" :: rest -> Some ((), rest) | _ -> None);
   }
-
-let stats_fields s =
-  [
-    ("programs", s.programs);
-    ("crash_points", s.crash_points);
-    ("crash_branches", s.crash_branches);
-    ("distinct_states", s.distinct_states);
-    ("recovery_runs", s.recovery_runs);
-    ("nested_points", s.nested_points);
-    ("nested_branches", s.nested_branches);
-  ]
-
-exception Found of cex
-
-let recover_and_check stats variant pidx prog statuses st ~point ~mask ~rpoint
-    ~rmask =
-  let rm = Ms.boot st in
-  recover (Mr.no_crash ()) rm;
-  stats.recovery_runs <- stats.recovery_runs + 1;
-  let final = Ms.snapshot_durable rm in
-  match check_recovered prog statuses final with
-  | Ok () -> ()
-  | Error (invariant, detail) ->
-      raise
-        (Found
-           {
-             variant;
-             pidx;
-             prog;
-             point;
-             mask;
-             rpoint;
-             rmask;
-             invariant;
-             detail;
-             crash = st;
-             recovered = final;
-           })
-
-let seen_key st statuses = Marshal.to_string (st, statuses) []
-
-let check_program stats variant pidx prog ~nested =
-  let sched = schedule variant prog in
-  let ntxs = List.length prog.txs in
-  stats.programs <- stats.programs + 1;
-  let full =
-    exec_schedule ~init_live:prog.init_live ~init_root:prog.init_root ~ntxs
-      sched ~stop_at:(-1)
-  in
-  assert (not full.crashed);
-  (* the crash-free end state, run through recovery (the unfenced tail
-     of the last transaction is legitimately still in flight) *)
-  recover_and_check stats variant pidx prog full.statuses
-    (Ms.snapshot_durable full.m) ~point:(-1) ~mask:0 ~rpoint:None ~rmask:None;
-  let seen = Hashtbl.create 1024 in
-  for k = 0 to full.points - 1 do
-    let r =
-      exec_schedule ~init_live:prog.init_live ~init_root:prog.init_root ~ntxs
-        sched ~stop_at:k
-    in
-    assert r.crashed;
-    stats.crash_points <- stats.crash_points + 1;
-    let n = List.length (Ms.wpq_words r.m) in
-    assert (n <= Ms.max_branch_words);
-    for mask = 0 to (1 lsl n) - 1 do
-      stats.crash_branches <- stats.crash_branches + 1;
-      let st = Ms.crash_state r.m ~mask in
-      let key = seen_key st r.statuses in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        stats.distinct_states <- stats.distinct_states + 1;
-        recover_and_check stats variant pidx prog r.statuses st ~point:k ~mask
-          ~rpoint:None ~rmask:None;
-        if nested then begin
-          let dry = Ms.boot st in
-          let dclk = Mr.no_crash () in
-          recover dclk dry;
-          stats.recovery_runs <- stats.recovery_runs + 1;
-          for rk = 0 to dclk.points - 1 do
-            stats.nested_points <- stats.nested_points + 1;
-            let rm = Ms.boot st in
-            let clk = Mr.crash_at rk in
-            (try
-               recover clk rm;
-               assert false
-             with Mr.Crash_now -> ());
-            let rn = List.length (Ms.wpq_words rm) in
-            assert (rn <= Ms.max_branch_words);
-            for rmask = 0 to (1 lsl rn) - 1 do
-              stats.nested_branches <- stats.nested_branches + 1;
-              let st2 = Ms.crash_state rm ~mask:rmask in
-              let key2 = seen_key st2 r.statuses in
-              if not (Hashtbl.mem seen key2) then begin
-                Hashtbl.add seen key2 ();
-                stats.distinct_states <- stats.distinct_states + 1;
-                recover_and_check stats variant pidx prog r.statuses st2
-                  ~point:k ~mask ~rpoint:(Some rk) ~rmask:(Some rmask)
-              end
-            done
-          done
-        end
-      end
-    done
-  done
-
-type report = { variant : Mvariant.t; stats : stats; cex : cex option }
-
-let run ?(nested = true) variant =
-  let stats = fresh_stats () in
-  try
-    List.iteri
-      (fun pidx prog -> check_program stats variant pidx prog ~nested)
-      programs;
-    { variant; stats; cex = None }
-  with Found c -> { variant; stats; cex = Some c }
-
-(* {1 Counterexample printing and replay} *)
-
-let pp_schedule ppf sched =
-  let pt = ref 0 in
-  List.iter
-    (fun s ->
-      if is_persist_point s then begin
-        Format.fprintf ppf "  p%-3d %a@." !pt pp_step s;
-        incr pt
-      end
-      else Format.fprintf ppf "       %a@." pp_step s)
-    sched
-
-(* Specs carry a "cow" family tag so pmodel_check can route them:
-   VARIANT:cow:PROG:POINT:MASK[:RPOINT:RMASK] *)
-let repro_string (c : cex) =
-  let base =
-    Printf.sprintf "%s:cow:%d:%d:%d" (Mvariant.name c.variant) c.pidx c.point
-      c.mask
-  in
-  match (c.rpoint, c.rmask) with
-  | Some rk, Some rm -> Printf.sprintf "%s:%d:%d" base rk rm
-  | _ -> base
-
-let pp_cex ppf (c : cex) =
-  Format.fprintf ppf "counterexample (CoW family, variant %s):@."
-    (Mvariant.name c.variant);
-  Format.fprintf ppf "  program   %s@." c.prog.descr;
-  if c.point < 0 then Format.fprintf ppf "  crash     none (crash-free run)@."
-  else
-    Format.fprintf ppf
-      "  crash     before writer persist point p%d, landed-word mask 0x%x@."
-      c.point c.mask;
-  (match (c.rpoint, c.rmask) with
-  | Some rk, Some rm ->
-      Format.fprintf ppf
-        "  nested    recovery crashed before its persist point %d, mask 0x%x@."
-        rk rm
-  | _ -> ());
-  Format.fprintf ppf "  violates  %s: %s@." c.invariant c.detail;
-  Format.fprintf ppf "  tx status %s@."
-    (String.concat ", "
-       (List.mapi
-          (fun i tx -> Printf.sprintf "tx%d %s" (i + 1) (tx_name tx))
-          c.prog.txs));
-  Format.fprintf ppf "  replay    --repro '%s'@." (repro_string c);
-  Format.fprintf ppf "  crash image:@.%a" pp_state c.crash;
-  Format.fprintf ppf "  recovered image:@.%a" pp_state c.recovered;
-  Format.fprintf ppf "  persist schedule:@.%a" pp_schedule
-    (schedule c.variant c.prog)
-
-let replay spec =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match String.split_on_char ':' spec with
-  | vname :: "cow" :: pidx :: point :: mask :: rest -> (
-      let ints =
-        try
-          Some
-            ( int_of_string pidx,
-              int_of_string point,
-              int_of_string mask,
-              match rest with
-              | [] -> None
-              | [ rk; rm ] -> Some (int_of_string rk, int_of_string rm)
-              | _ -> raise Exit )
-        with _ -> None
-      in
-      match (Mvariant.of_name vname, ints) with
-      | None, _ -> fail "unknown variant %S" vname
-      | _, None -> fail "malformed repro spec %S" spec
-      | Some variant, Some (pidx, point, mask, nested) -> (
-          if pidx < 0 || pidx >= List.length programs then
-            fail "program index %d out of range" pidx
-          else
-            let prog = List.nth programs pidx in
-            let sched = schedule variant prog in
-            let ntxs = List.length prog.txs in
-            let r =
-              exec_schedule ~init_live:prog.init_live ~init_root:prog.init_root
-                ~ntxs sched ~stop_at:point
-            in
-            if not r.crashed then fail "persist point %d out of range" point
-            else
-              let st = Ms.crash_state r.m ~mask in
-              let st =
-                match nested with
-                | None -> Ok st
-                | Some (rk, rmask) -> (
-                    let rm = Ms.boot st in
-                    let clk = Mr.crash_at rk in
-                    match recover clk rm with
-                    | () -> fail "recovery point %d out of range" rk
-                    | exception Mr.Crash_now -> Ok (Ms.crash_state rm ~mask:rmask))
-              in
-              match st with
-              | Error _ as e -> e
-              | Ok st -> (
-                  let stats = fresh_stats () in
-                  let rpoint, rmask =
-                    match nested with
-                    | Some (rk, rm) -> (Some rk, Some rm)
-                    | None -> (None, None)
-                  in
-                  match
-                    recover_and_check stats variant pidx prog r.statuses st
-                      ~point ~mask ~rpoint ~rmask
-                  with
-                  | () -> Ok None
-                  | exception Found c -> Ok (Some c))))
-  | _ -> fail "malformed CoW repro spec %S (want VARIANT:cow:PROG:POINT:MASK)" spec

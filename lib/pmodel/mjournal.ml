@@ -8,7 +8,9 @@
    the executed one together. *)
 
 module Ms = Mstate
+module Mr = Mrecovery
 module Pt = Pjournal.Protocol
+open Mcheck
 
 (* {1 Programs} *)
 
@@ -58,38 +60,6 @@ let describe p =
     | Interleaved -> " interleaved"
     | Grouped -> " grouped")
     (String.concat " " (List.map tx_name p.txs))
-
-(* {1 Schedule steps} *)
-
-type marker = M_start of int | M_commit_point of int | M_retired of int
-
-type act =
-  | St of int * Ms.value
-  | Fl of int list  (* line-granular flush (the real primitive) *)
-  | Flw of int list  (* word-granular flush (fault variants only) *)
-  | Fence
-  | Mark of marker
-
-type step = { act : act; lbl : string }
-
-let is_persist_point s =
-  match s.act with Fl _ | Flw _ | Fence -> true | St _ | Mark _ -> false
-
-let pp_step cfg ppf s =
-  (match s.act with
-  | St (w, v) ->
-      Format.fprintf ppf "st   %-18s <- %a" (Ms.word_name cfg w) Ms.pp_value v
-  | Fl ws ->
-      Format.fprintf ppf "fl   %s"
-        (String.concat "," (List.map (Ms.word_name cfg) ws))
-  | Flw ws ->
-      Format.fprintf ppf "flw  %s"
-        (String.concat "," (List.map (Ms.word_name cfg) ws))
-  | Fence -> Format.fprintf ppf "fence"
-  | Mark (M_start u) -> Format.fprintf ppf "-- tx%d begins" u
-  | Mark (M_commit_point u) -> Format.fprintf ppf "-- tx%d commit point" u
-  | Mark (M_retired u) -> Format.fprintf ppf "-- tx%d retired" u);
-  if s.lbl <> "" then Format.fprintf ppf "   [%s]" s.lbl
 
 (* {1 Expansion} *)
 
@@ -163,7 +133,7 @@ let seal ctx buf sh ~lbl words ~term_w =
   let hdr_w = fst (List.hd words) in
   List.iter (fun (w, v) -> push (St (w, v))) (List.tl words);
   push (St (fst (List.hd words), snd (List.hd words)));
-  push (St (term_w, Int 0));
+  push (St (term_w, Ms.Int 0));
   (match ctx.variant with
   | Mvariant.Term_before_body -> push (Flw [ hdr_w; term_w ])
   | _ -> push (Fl (List.map fst words @ [ term_w ])));
@@ -262,12 +232,12 @@ let truncate_steps ctx buf sh ~clears ~retired =
       | Pt.Reset_header ->
           sh.epoch <- sh.epoch + 1;
           let lbl = "truncate" in
-          push ~lbl (St (Ms.count_w cfg sh.s, Int 0));
-          push ~lbl (St (Ms.drops_w cfg sh.s, Int 0));
-          push ~lbl (St (Ms.spill_w cfg sh.s, Int 0));
-          push ~lbl (St (Ms.epoch_w cfg sh.s, Int sh.epoch));
-          push ~lbl (St (Ms.entry_base cfg sh.s, Int 0));
-          push ~lbl (St (Ms.phase_w cfg sh.s, Int 0));
+          push ~lbl (St (Ms.count_w cfg sh.s, Ms.Int 0));
+          push ~lbl (St (Ms.drops_w cfg sh.s, Ms.Int 0));
+          push ~lbl (St (Ms.spill_w cfg sh.s, Ms.Int 0));
+          push ~lbl (St (Ms.epoch_w cfg sh.s, Ms.Int sh.epoch));
+          push ~lbl (St (Ms.entry_base cfg sh.s, Ms.Int 0));
+          push ~lbl (St (Ms.phase_w cfg sh.s, Ms.Int 0));
           push ~lbl (Fl [ Ms.phase_w cfg sh.s; Ms.entry_base cfg sh.s ]);
           push ~lbl Fence;
           (match retired with
@@ -438,7 +408,7 @@ let gen_tx_parts ctx sh ~uid tx =
   | Abort -> abort_steps ctx buf sh);
   (logging, List.rev !buf)
 
-let schedule cfg variant (p : program) : step list =
+let schedule cfg variant (p : program) : Ms.value step list =
   let ctx =
     {
       cfg;
@@ -622,3 +592,119 @@ let grouped_programs () =
 let programs cfg =
   if cfg.Ms.nslots >= 2 then interleaved_programs () @ grouped_programs ()
   else seq_programs ()
+
+(* {1 The journal family}
+
+   {!Mcheck}'s enumerator over these programs, {!Mrecovery}'s recovery
+   and the oracle below.  Its crash-free end image is not recovered:
+   every transaction's log must already be retired. *)
+
+(* Replay a composition over the program: per-block heap generation and
+   table code if each transaction's outcome is as given. *)
+let expected prog sigma =
+  let gens = Array.make Ms.nblocks 0 in
+  let codes =
+    Array.init Ms.nblocks (fun b ->
+        if prog.init_live.(b) then Ms.order_of_block b + 1 else 0)
+  in
+  List.iteri
+    (fun i tx ->
+      if sigma.(i) = Applied then
+        List.iter
+          (fun op ->
+            match op with
+            | Set b -> gens.(b) <- i + 1
+            | Alloc b -> codes.(b) <- Ms.order_of_block b + 1
+            | Free b -> codes.(b) <- 0)
+          tx.ops)
+    prog.txs;
+  (gens, codes)
+
+(* A free block's heap contents are dead bytes — only live blocks'
+   generations are compared. *)
+let state_matches cfg prog sigma (st : Ms.state) ~heap_only =
+  let gens, codes = expected prog sigma in
+  let ok = ref true in
+  for b = 0 to Ms.nblocks - 1 do
+    if codes.(b) > 0 && st.(Ms.heap_w cfg b) <> Ms.Gen gens.(b) then ok := false;
+    if
+      (not heap_only)
+      && Ms.tab_get st.(Ms.table_w cfg b) (Ms.table_sub cfg b) <> codes.(b)
+    then ok := false
+  done;
+  !ok
+
+(* A transaction whose truncate retired the log is applied; one that
+   never reached its commit fence (and every abort) is rolled back. *)
+let allowed_outcomes prog i st =
+  match ((List.nth prog.txs i).k, st) with
+  | Abort, _ -> [ Rolled_back ]
+  | Commit, (NotStarted | InFlight) -> [ Rolled_back ]
+  | Commit, Window -> [ Rolled_back; Applied ]
+  | Commit, Retired -> [ Applied ]
+
+(* I-QUIESCENT-LOG: after recovery every slot is retired — phase,
+   advisory count and drop count zero, no walkable entry, no salt-valid
+   drop slot. *)
+let log_residue cfg st =
+  let m = Ms.boot st in
+  let residue = ref None in
+  for s = 0 to cfg.Ms.nslots - 1 do
+    let epoch = Mr.as_int (Ms.read m (Ms.epoch_w cfg s)) in
+    let entries, torn = Mr.walk m cfg s ~epoch in
+    if
+      Mr.as_int (Ms.read m (Ms.phase_w cfg s)) <> 0
+      || Mr.as_int (Ms.read m (Ms.count_w cfg s)) <> 0
+      || Mr.as_int (Ms.read m (Ms.drops_w cfg s)) <> 0
+      || entries <> [] || torn
+      || Mr.scan_drops m cfg s ~epoch <> []
+    then
+      residue :=
+        Some
+          ("I-QUIESCENT-LOG", Printf.sprintf "slot %d still carries log residue" s)
+  done;
+  !residue
+
+let family =
+  {
+    name = "journal";
+    tag = Mvariant.Journal;
+    cfgs =
+      [
+        { Ms.nslots = 1; Ms.table_split = false };
+        { Ms.nslots = 1; Ms.table_split = true };
+        { Ms.nslots = 2; Ms.table_split = true };
+      ];
+    programs;
+    ntxs = (fun p -> List.length p.txs);
+    schedule;
+    initial = (fun cfg p -> Ms.initial_state cfg ~init_live:p.init_live);
+    recover = (fun variant clk cfg m -> Mr.recover ~variant clk cfg m);
+    allowed = allowed_outcomes;
+    matches = state_matches;
+    quiescent = log_residue;
+    liveness_detail = "heap matches a composition but table codes match none";
+    recovers_end = false;
+    title = "";
+    describe =
+      (fun cfg p ->
+        Printf.sprintf "%s  (nslots=%d table_split=%b)" p.descr cfg.Ms.nslots
+          cfg.Ms.table_split);
+    tx_names = (fun p -> List.map tx_name p.txs);
+    word_name = Ms.word_name;
+    name_width = 18;
+    pp_value = Ms.pp_value;
+    blank = Ms.Int 0;
+    (* NSLOTS:SPLIT *)
+    cfg_key =
+      (fun cfg ->
+        Printf.sprintf "%d:%d" cfg.Ms.nslots (if cfg.Ms.table_split then 1 else 0));
+    parse_cfg =
+      (function
+      | nslots :: split :: rest -> (
+          match (int_of_string_opt nslots, int_of_string_opt split) with
+          | Some nslots, Some split when nslots >= 1 ->
+              Some ({ Ms.nslots; Ms.table_split = split <> 0 }, rest)
+          | _ -> None)
+      | _ -> None);
+  }

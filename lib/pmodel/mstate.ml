@@ -229,10 +229,3 @@ let crash_state m ~mask =
 let snapshot_durable m = Array.copy m.durable
 
 let equal_state (a : 'v array) b = a = b
-
-let pp_state cfg ppf (s : state) =
-  Array.iteri
-    (fun w v ->
-      if v <> Int 0 then
-        Format.fprintf ppf "  %-18s = %a@." (word_name cfg w) pp_value v)
-    s

@@ -52,6 +52,17 @@ let broken =
     Swap_before_flush;
   ]
 
+(* The model family a variant runs in: each mutation perturbs one
+   family's protocol, and the correct protocol runs in every family. *)
+type family = Journal | Cow
+
+let families = function
+  | Correct -> [ Journal; Cow ]
+  | Term_before_body | Truncate_before_clears | Trust_advisory | Partial_merge
+    ->
+      [ Journal ]
+  | Swap_before_flush -> [ Cow ]
+
 let name = function
   | Correct -> "correct"
   | Term_before_body -> "term-before-body"

@@ -4,96 +4,90 @@
    spec, and the trace conformance validator must accept a real capture
    and reject a synthetic protocol violation. *)
 
-module Ms = Pmodel.Mstate
 module Mc = Pmodel.Mcheck
-module Mw = Pmodel.Mcow
+module Mf = Pmodel.Mfamilies
 module Mv = Pmodel.Mvariant
 module Cf = Pmodel.Mconform
 module Pr = Ptelemetry.Probe
 
-let test_correct_protocol_verifies () =
-  let r = Mc.run Mv.Correct in
-  (match r.Mc.cex with
+(* Per family: its test name and the space a full run must exceed
+   (programs, crash branches, nested branches). *)
+let full_space f =
+  match Mc.name f with
+  | "journal" -> ("journal", 50, 1000, 1000)
+  | "cow" -> ("CoW", 9, 100, 100)
+  | n -> Alcotest.failf "no full-space bounds for family %S" n
+
+(* The correct protocol must verify over each family's full space,
+   including recovery's own crashes. *)
+let test_family_verifies f () =
+  let _, programs, branches, nested = full_space f in
+  let r = Mc.run f Mv.Correct in
+  (match r.cex with
   | None -> ()
-  | Some c -> Alcotest.failf "correct protocol: %s" (Format.asprintf "%a" Mc.pp_cex c));
-  let s = r.Mc.stats in
-  Alcotest.(check bool) "programs explored" true (s.Mc.programs > 50);
-  Alcotest.(check bool) "crash branches explored" true (s.Mc.crash_branches > 1000);
-  Alcotest.(check bool)
-    "recovery itself crashed" true (s.Mc.nested_branches > 1000)
+  | Some c ->
+      Alcotest.failf "correct protocol: %s" (Format.asprintf "%a" Mc.pp_cex c));
+  let s = r.stats in
+  Alcotest.(check bool) "programs explored" true (s.programs > programs);
+  Alcotest.(check bool) "crash branches explored" true (s.crash_branches > branches);
+  Alcotest.(check bool) "recovery itself crashed" true (s.nested_branches > nested)
+
+(* Each seeded bug's counterexample, from the families it runs in. *)
+let counterexample v =
+  List.find_map
+    (fun f -> if Mc.carries f v then (Mc.run ~nested:false f v).cex else None)
+    Mf.all
 
 let test_controls_all_caught () =
   List.iter
     (fun v ->
-      (* each seeded bug runs in the model family its mutation targets *)
-      let caught =
-        match v with
-        | Mv.Swap_before_flush ->
-            let r = Mw.run ~nested:false v in
-            r.Mw.cex <> None
-        | _ ->
-            let r = Mc.run ~nested:false v in
-            r.Mc.cex <> None
-      in
-      if not caught then
+      if counterexample v = None then
         Alcotest.failf "seeded bug %S produced no counterexample" (Mv.name v))
     Mv.broken
 
-(* The CoW family: the shipped intent/swap protocol must verify over
-   its full space (including recovery's own crashes), and the seeded
-   premature-root-swap mutation must be caught and replay from its
-   spec. *)
-let test_cow_correct_verifies () =
-  let r = Mw.run Mv.Correct in
-  (match r.Mw.cex with
-  | None -> ()
-  | Some c ->
-      Alcotest.failf "correct CoW protocol: %s"
-        (Format.asprintf "%a" Mw.pp_cex c));
-  let s = r.Mw.stats in
-  Alcotest.(check bool) "programs explored" true (s.Mw.programs >= 10);
-  Alcotest.(check bool) "crash branches explored" true (s.Mw.crash_branches > 100);
-  Alcotest.(check bool)
-    "recovery itself crashed" true (s.Mw.nested_branches > 100)
-
-let test_cow_control_caught_and_replays () =
-  let r = Mw.run ~nested:false Mv.Swap_before_flush in
-  match r.Mw.cex with
-  | None -> Alcotest.fail "swap-before-flush produced no counterexample"
-  | Some c -> (
-      let spec = Mw.repro_string c in
-      match Mw.replay spec with
-      | Error e -> Alcotest.failf "replay %S failed to parse: %s" spec e
-      | Ok None ->
-          Alcotest.failf "replay %S found the branch legal after all" spec
-      | Ok (Some c') ->
-          Alcotest.(check string)
-            "replay reproduces the same invariant violation" c.Mw.invariant
-            c'.Mw.invariant)
-
 let test_replay_roundtrip () =
-  let v = List.hd Mv.broken in
-  let r = Mc.run ~nested:false v in
-  match r.Mc.cex with
-  | None -> Alcotest.failf "no counterexample for %S" (Mv.name v)
-  | Some c -> (
-      let spec = Mc.repro_string c in
-      match Mc.replay spec with
-      | Error e -> Alcotest.failf "replay %S failed to parse: %s" spec e
-      | Ok None ->
-          Alcotest.failf "replay %S found the branch legal after all" spec
-      | Ok (Some c') ->
-          Alcotest.(check string)
-            "replay reproduces the same invariant violation" c.Mc.invariant
-            c'.Mc.invariant)
+  List.iter
+    (fun v ->
+      match counterexample v with
+      | None -> Alcotest.failf "no counterexample for %S" (Mv.name v)
+      | Some c -> (
+          let spec = Mc.repro_string c in
+          match Mc.replay Mf.all spec with
+          | Error e -> Alcotest.failf "replay %S failed: %s" spec e
+          | Ok None ->
+              Alcotest.failf "replay %S found the branch legal after all" spec
+          | Ok (Some c') ->
+              Alcotest.(check string)
+                (spec ^ " reproduces the same invariant violation")
+                c.invariant c'.invariant))
+    Mv.broken
+
+(* A nested branch (recovery crashed at its own persist point 1, one of
+   its in-flight words landed) of the correct protocol, in each family. *)
+let test_nested_replay () =
+  List.iter
+    (fun spec ->
+      match Mc.replay Mf.all spec with
+      | Ok None -> ()
+      | Ok (Some c) ->
+          Alcotest.failf "%S: %s" spec (Format.asprintf "%a" Mc.pp_cex c)
+      | Error e -> Alcotest.failf "replay %S failed: %s" spec e)
+    [ "correct:1:0:0:3:1:1:1"; "correct:cow:0:1:3:1:1" ]
 
 let test_replay_rejects_garbage () =
-  (match Mc.replay "no-such-variant:1:0:0:0:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bogus variant accepted");
-  match Mc.replay "correct:1:0" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated spec accepted"
+  List.iter
+    (fun (spec, why) ->
+      match Mc.replay Mf.all spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted: %S" why spec)
+    [
+      ("no-such-variant:1:0:0:0:0", "bogus variant");
+      ("correct:1:0", "truncated spec");
+      ("correct:1:0:0:0:99999", "mask beyond the words in flight");
+      ("correct:cow:0:0:99999", "mask beyond the words in flight");
+      ("swap-before-flush:1:0:0:0:0", "CoW mutation in the journal family");
+      ("term-before-body:cow:0:0:0", "journal mutation in the CoW family");
+    ]
 
 (* Conformance, positive: a real scenario run (with crash + recovery)
    captured off the probe bus must validate cleanly. *)
@@ -234,19 +228,21 @@ let () =
     [
       ( "checker",
         [
-          Alcotest.test_case "correct protocol verifies (full space)" `Slow
-            test_correct_protocol_verifies;
           Alcotest.test_case "seeded bugs are all caught" `Quick
             test_controls_all_caught;
           Alcotest.test_case "counterexample replays from its spec" `Quick
             test_replay_roundtrip;
+          Alcotest.test_case "nested spec replays to a legal state" `Quick
+            test_nested_replay;
           Alcotest.test_case "replay rejects malformed specs" `Quick
             test_replay_rejects_garbage;
-          Alcotest.test_case "CoW protocol verifies (full space)" `Slow
-            test_cow_correct_verifies;
-          Alcotest.test_case "CoW seeded bug caught and replays" `Quick
-            test_cow_control_caught_and_replays;
-        ] );
+        ]
+        @ List.map
+            (fun f ->
+              let name, _, _, _ = full_space f in
+              Alcotest.test_case (name ^ " protocol verifies (full space)") `Slow
+                (test_family_verifies f))
+            Mf.all );
       ( "conformance",
         [
           Alcotest.test_case "real crash+recovery capture validates" `Quick
