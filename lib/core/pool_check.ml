@@ -11,18 +11,12 @@ type report = {
 
 let ok r = r.findings = []
 
-let header_size = 4096
-let magic = "CORUNDUM-POOL-01"
-
-(* Slot header field offsets (mirroring Journal_impl).  [hdr_count] is
-   advisory: the durable tail of a slot's log is its terminator word, and
-   fsck cross-checks the advisory count against the walked tail. *)
-let hdr_phase = 0
-let hdr_count = 8
-let hdr_drops = 16
-let hdr_spill = 24
-let hdr_epoch = 32
-let hdr_size = 64
+(* The pool header's layout is Pool_impl's, the journal slot header's
+   Journal_impl's.  [J.hdr_count] is advisory: the durable tail of a slot's
+   log is its terminator word, and fsck cross-checks the advisory count
+   against the walked tail. *)
+module P = Pool_impl
+module J = Pjournal.Journal_impl
 
 type layout = {
   nslots : int;
@@ -36,18 +30,18 @@ type layout = {
 let read_layout dev =
   let u64 off = Int64.to_int (D.read_u64 dev off) in
   {
-    nslots = u64 48;
-    slot_size = u64 56;
-    heap_len = u64 64;
-    table_base = u64 72;
-    heap_base = u64 80;
-    root_off = u64 32;
+    nslots = u64 P.hdr_nslots;
+    slot_size = u64 P.hdr_slot_size;
+    heap_len = u64 P.hdr_heap_len;
+    table_base = u64 P.hdr_table_base;
+    heap_base = u64 P.hdr_heap_base;
+    root_off = u64 P.hdr_root;
   }
 
 let layout_sane dev l =
   l.nslots > 0 && l.nslots < 1024
   && l.slot_size > 0
-  && header_size + (l.nslots * l.slot_size) <= l.table_base
+  && P.header_size + (l.nslots * l.slot_size) <= l.table_base
   && l.table_base + (l.heap_len / 64) <= l.heap_base
   && l.heap_base + l.heap_len <= D.size dev
   && l.heap_len mod 64 = 0
@@ -62,12 +56,12 @@ let check_device dev =
   let entries_checked = ref 0 and blocks_checked = ref 0 in
   let slots_checked = ref 0 in
   (* --- header ---------------------------------------------------------- *)
-  if size < header_size then note "header" "device smaller than a pool header"
-  else if not (String.equal (D.read_string dev 0 (String.length magic)) magic)
+  if size < P.header_size then note "header" "device smaller than a pool header"
+  else if not (String.equal (D.read_string dev 0 (String.length P.magic)) P.magic)
   then note "header" "bad magic: not a Corundum pool"
   else begin
-    let version = u64 16 in
-    if version <> 1 then note "header" "unsupported version %d" version;
+    let version = u64 P.hdr_version in
+    if version <> P.version then note "header" "unsupported version %d" version;
     let ({ nslots; slot_size; heap_len; table_base; heap_base; root_off } as l) =
       read_layout dev
     in
@@ -80,12 +74,12 @@ let check_device dev =
       (* --- journal slots ------------------------------------------------ *)
       for i = 0 to nslots - 1 do
         incr slots_checked;
-        let base = header_size + (i * slot_size) in
+        let base = P.header_size + (i * slot_size) in
         let where = Printf.sprintf "journal slot %d" i in
-        let phase = u64 (base + hdr_phase)
-        and advisory = u64 (base + hdr_count)
-        and drops = u64 (base + hdr_drops)
-        and epoch = u64 (base + hdr_epoch) in
+        let phase = u64 (base + J.hdr_phase)
+        and advisory = u64 (base + J.hdr_count)
+        and drops = u64 (base + J.hdr_drops)
+        and epoch = u64 (base + J.hdr_epoch) in
         let salt = Pjournal.Log_entry.salt ~slot_base:base ~epoch in
         if phase <> 0 && phase <> 1 then note where "bad phase %d" phase;
         if advisory < 0 || advisory * 16 > 64 * slot_size then
@@ -139,7 +133,7 @@ let check_device dev =
           note where "implausible drop count %d" drops
         else
           for d = 1 to drops do
-            let at = base + slot_size - (d * 16) in
+            let at = base + slot_size - (d * J.drop_slot_bytes) in
             match Pjournal.Log_entry.read dev ~salt ~at with
             | Pjournal.Log_entry.Drop { off; order = _ }, _ ->
                 if off < heap_base || off >= heap_base + heap_len then
@@ -262,7 +256,7 @@ let check_device dev =
               | Cow_root.Publish (_, pubs) ->
                   List.iter
                     (fun (a, _, _) ->
-                      if a < header_size || a + 8 > size then
+                      if a < P.header_size || a + 8 > size then
                         note where
                           "intent slot %d: publish word at %d outside the pool"
                           s a)
@@ -352,15 +346,15 @@ let repair dev =
   and drops_truncated = ref 0
   and quarantined = ref 0 in
   let size = D.size dev in
-  if size < header_size then lost "header" "device smaller than a pool header"
-  else if not (String.equal (D.read_string dev 0 (String.length magic)) magic)
+  if size < P.header_size then lost "header" "device smaller than a pool header"
+  else if not (String.equal (D.read_string dev 0 (String.length P.magic)) P.magic)
   then lost "header" "bad magic: not a Corundum pool"
   else begin
-    let version = Int64.to_int (D.read_u64 dev 16) in
+    let version = Int64.to_int (D.read_u64 dev P.hdr_version) in
     let ({ nslots; slot_size; heap_len; table_base; heap_base; root_off } as l) =
       read_layout dev
     in
-    if version <> 1 then lost "header" "unsupported version %d" version
+    if version <> P.version then lost "header" "unsupported version %d" version
     else if not (layout_sane dev l) then
       lost "header" "layout fields are inconsistent; nothing can be trusted"
     else begin
@@ -377,24 +371,24 @@ let repair dev =
         (* a batched header persist, like a runtime truncate: terminator
            back at the head of the entry area and the epoch bumped, so
            whatever sealed bytes remain can never verify again *)
-        let epoch = D.read_u64 dev (base + hdr_epoch) in
-        D.write_u64 dev (base + hdr_phase) 0L;
-        D.write_u64 dev (base + hdr_count) 0L;
-        D.write_u64 dev (base + hdr_drops) 0L;
-        D.write_u64 dev (base + hdr_spill) 0L;
-        D.write_u64 dev (base + hdr_epoch) (Int64.add epoch 1L);
-        D.write_u64 dev (base + hdr_size) 0L;
-        D.persist dev base (hdr_size + 8);
+        let epoch = D.read_u64 dev (base + J.hdr_epoch) in
+        D.write_u64 dev (base + J.hdr_phase) 0L;
+        D.write_u64 dev (base + J.hdr_count) 0L;
+        D.write_u64 dev (base + J.hdr_drops) 0L;
+        D.write_u64 dev (base + J.hdr_spill) 0L;
+        D.write_u64 dev (base + J.hdr_epoch) (Int64.add epoch 1L);
+        D.write_u64 dev (base + J.hdr_size) 0L;
+        D.persist dev base (J.hdr_size + 8);
         act (Printf.sprintf "journal slot %d" (base / slot_size)) "reset slot: %s"
           why
       in
       for i = 0 to nslots - 1 do
-        let base = header_size + (i * slot_size) in
+        let base = P.header_size + (i * slot_size) in
         let where = Printf.sprintf "journal slot %d" i in
-        let phase = Int64.to_int (D.read_u64 dev (base + hdr_phase))
-        and advisory = Int64.to_int (D.read_u64 dev (base + hdr_count))
-        and drops = Int64.to_int (D.read_u64 dev (base + hdr_drops))
-        and epoch = Int64.to_int (D.read_u64 dev (base + hdr_epoch)) in
+        let phase = Int64.to_int (D.read_u64 dev (base + J.hdr_phase))
+        and advisory = Int64.to_int (D.read_u64 dev (base + J.hdr_count))
+        and drops = Int64.to_int (D.read_u64 dev (base + J.hdr_drops))
+        and epoch = Int64.to_int (D.read_u64 dev (base + J.hdr_epoch)) in
         let salt = Pjournal.Log_entry.salt ~slot_base:base ~epoch in
         if phase <> 0 && phase <> 1 then
           reset_slot base (Printf.sprintf "bad phase %d" phase)
@@ -430,7 +424,7 @@ let repair dev =
               let inside rbase rlimit =
                 cursor >= rbase && cursor + 8 <= min rlimit (D.size dev)
               in
-              inside (base + hdr_size)
+              inside (base + J.hdr_size)
                 (Pjournal.Log_entry.main_entry_limit ~slot_base:base ~slot_size)
               || List.exists
                    (fun off ->
@@ -470,12 +464,12 @@ let repair dev =
                     (if advisory <> 0 then advisory - visited else 0)
                     (if torn then 1 else 0);
               if advisory <> 0 && advisory <> visited then begin
-                write_field base hdr_count visited;
+                write_field base J.hdr_count visited;
                 act where "reconciled advisory entry count %d -> %d walked entries"
                   advisory visited
               end;
             if drops < 0 || drops * 16 > slot_size then begin
-              write_field base hdr_drops 0;
+              write_field base J.hdr_drops 0;
               drops_truncated := !drops_truncated + max 0 drops;
               act where "cleared implausible drop count %d" drops
             end
@@ -483,7 +477,7 @@ let repair dev =
               let valid_drops = ref drops in
               (try
                  for d = 1 to drops do
-                   let at = base + slot_size - (d * 16) in
+                   let at = base + slot_size - (d * J.drop_slot_bytes) in
                    match Pjournal.Log_entry.read dev ~salt ~at with
                    | Pjournal.Log_entry.Drop { off; order = _ }, _
                      when off >= heap_base && off < heap_base + heap_len ->
@@ -497,7 +491,7 @@ let repair dev =
                  done
                with Exit -> ());
               if !valid_drops < drops then begin
-                write_field base hdr_drops !valid_drops;
+                write_field base J.hdr_drops !valid_drops;
                 drops_truncated := !drops_truncated + (drops - !valid_drops);
                 act where "truncated %d corrupt drop entries" (drops - !valid_drops)
               end

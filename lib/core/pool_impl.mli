@@ -48,6 +48,28 @@ type config = {
 val default_config : config
 (** 64 MiB, 8 slots of 256 KiB. *)
 
+(** {1 On-media header layout}
+
+    The header page starts with [magic]; the journal slots follow it at
+    [header_size].  The [hdr_*] values are the byte offsets of its u64
+    fields. *)
+
+val header_size : int
+val magic : string
+val version : int
+val hdr_version : int
+val hdr_generation : int
+val hdr_root : int
+val hdr_root_hash : int
+val hdr_nslots : int
+val hdr_slot_size : int
+val hdr_heap_len : int
+val hdr_table_base : int
+val hdr_heap_base : int
+val hdr_csum : int
+val hdr_tx_total : int
+val hdr_abort_total : int
+
 (** {1 Lifecycle} *)
 
 val create :

@@ -53,6 +53,22 @@ exception Not_in_transaction
 
 type t
 
+(** {1 On-media slot header}
+
+    Byte offsets, from the slot base, of the slot header's u64 fields:
+    the phase word, the advisory entry and drop counts, the spill-chain
+    head and the truncation epoch that salts entry checksums.  The log's
+    entries start at [hdr_size]; drop records are consed downward from
+    the slot end, [drop_slot_bytes] each. *)
+
+val hdr_phase : int
+val hdr_count : int
+val hdr_drops : int
+val hdr_spill : int
+val hdr_epoch : int
+val hdr_size : int
+val drop_slot_bytes : int
+
 val format : Pmem.Device.t -> base:int -> size:int -> unit
 (** Zero a slot's header and write the empty log's terminator durably
     (pool-creation time). *)

@@ -1,5 +1,6 @@
 module D = Pmem.Device
 module Pr = Ptelemetry.Probe
+module J = Journal_impl
 
 type stats = {
   slots_scanned : int;
@@ -65,9 +66,7 @@ let timed dev phases name f =
          { dev = D.id dev; phase = name; ns = t1; dur_ns = t1 -. t0 });
   r
 
-let drop_slot_bytes = 16
 let phase_committing = 1L
-let hdr_size = 64
 
 (* Revert an allocation-table byte if it is still set (idempotent).
    Recovery manages no batched line set, so the clear is persisted
@@ -90,11 +89,11 @@ let clear_if_live table off =
    the epoch bump that would invalidate those slots rides in the same
    line and may equally not have landed. *)
 let scan_drops dev table ~base ~size ~salt =
-  let capacity = size / 4 / drop_slot_bytes in
+  let capacity = size / 4 / J.drop_slot_bytes in
   let rec go i acc =
     if i > capacity then List.rev acc
     else
-      let at = base + size - (i * drop_slot_bytes) in
+      let at = base + size - (i * J.drop_slot_bytes) in
       match Log_entry.read dev ~salt ~at with
       | Log_entry.Drop { off; order }, _ -> (
           match Palloc.Alloc_table.index_of_offset table off with
@@ -159,20 +158,21 @@ let truncate ?(ordered = false) dev table ~base =
   (match spill_chain_or_empty dev ~slot_base:base with
   | [] -> ()
   | spills -> List.iter (fun off -> ignore (clear_if_live table off)) spills);
-  let epoch = D.read_u64 dev (base + 32) in
-  D.write_u64 dev (base + 8) 0L (* advisory entry count *);
-  D.write_u64 dev (base + 16) 0L (* drop count *);
-  D.write_u64 dev (base + 24) 0L (* spill head *);
-  D.write_u64 dev (base + 32) (Int64.add epoch 1L);
-  D.write_u64 dev (base + hdr_size) 0L (* terminator *);
+  let epoch = D.read_u64 dev (base + J.hdr_epoch) in
+  D.write_u64 dev (base + J.hdr_count) 0L;
+  D.write_u64 dev (base + J.hdr_drops) 0L;
+  D.write_u64 dev (base + J.hdr_spill) 0L;
+  D.write_u64 dev (base + J.hdr_epoch) (Int64.add epoch 1L);
+  D.write_u64 dev (base + J.hdr_size) 0L (* terminator *);
   (if ordered then begin
-     D.persist dev (base + 8) (hdr_size + Log_entry.terminator_size - 8);
-     D.write_u64 dev (base + 0) 0L (* phase *);
-     D.persist dev (base + 0) 8
+     D.persist dev (base + J.hdr_count)
+       (J.hdr_size + Log_entry.terminator_size - J.hdr_count);
+     D.write_u64 dev (base + J.hdr_phase) 0L;
+     D.persist dev (base + J.hdr_phase) 8
    end
    else begin
-     D.write_u64 dev (base + 0) 0L (* phase *);
-     D.persist dev base (hdr_size + Log_entry.terminator_size)
+     D.write_u64 dev (base + J.hdr_phase) 0L;
+     D.persist dev base (J.hdr_size + Log_entry.terminator_size)
    end);
   if Pr.on () then
     Pr.emit
@@ -184,10 +184,10 @@ let truncate ?(ordered = false) dev table ~base =
          })
 
 let recover_slot dev table ~base ~size =
-  let phase = D.read_u64 dev base in
-  let advisory = Int64.to_int (D.read_u64 dev (base + 8)) in
-  let ndrops = Int64.to_int (D.read_u64 dev (base + 16)) in
-  let epoch = Int64.to_int (D.read_u64 dev (base + 32)) in
+  let phase = D.read_u64 dev (base + J.hdr_phase) in
+  let advisory = Int64.to_int (D.read_u64 dev (base + J.hdr_count)) in
+  let ndrops = Int64.to_int (D.read_u64 dev (base + J.hdr_drops)) in
+  let epoch = Int64.to_int (D.read_u64 dev (base + J.hdr_epoch)) in
   let salt = Log_entry.salt ~slot_base:base ~epoch in
   let phases = ref [] in
   let finish stats = { stats with phase_ns = !phases } in
@@ -198,7 +198,7 @@ let recover_slot dev table ~base ~size =
     let applied = ref 0 and skipped = ref 0 in
     timed dev phases "drop_apply" (fun () ->
         for i = 1 to ndrops do
-          let at = base + size - (i * drop_slot_bytes) in
+          let at = base + size - (i * J.drop_slot_bytes) in
           match Log_entry.read dev ~salt ~at with
           | Log_entry.Drop { off; order = _ }, _ ->
               if clear_if_live table off then incr applied

@@ -2,8 +2,10 @@
    family.
 
    A {!family} supplies its programs, their persist schedules, its
-   modeled recovery and the oracle pieces: the undo journal
-   ({!Mjournal}) and the CoW commit ({!Mcow}) are the two.  For every
+   recovery and the oracle pieces: the undo journal ({!Mjournal}, a
+   model with {!Mrecovery}'s mirror of the shipped recovery) and the CoW
+   commit ({!Mcow}, the shipped engine and recovery, captured by
+   {!Mcapture}) are the two.  For every
    (config, program) pair the checker expands the writer schedule,
    crashes it before every persist point, enumerates EVERY torn-word
    outcome of the in-flight line set (all subsets of the write-pending
@@ -74,9 +76,10 @@ type ('c, 'p, 'v) family = {
       (* the residue a recovered image must not carry *)
   liveness_detail : string;
   recovers_end : bool;
-      (* the crash-free end image goes through recovery (its unfenced
-         tail is legitimately in flight) rather than being quiescent
-         already *)
+      (* the run's unfenced tail is legitimately in flight at its end:
+         it is crashed there too, every subset of the tail landing and
+         going through recovery, rather than its end image being
+         quiescent already *)
   title : string;  (* counterexample header prefix *)
   describe : 'c -> 'p -> string;
   tx_names : 'p -> string list;
@@ -102,6 +105,15 @@ type 'v run = {
   points : int;  (* persist points executed (= total on a full run) *)
 }
 
+(* One step's effect on the machine; markers have none. *)
+let apply m s =
+  match s.act with
+  | St (w, v) -> Ms.store m w v
+  | Fl ws -> Ms.flush_words m ws
+  | Flw ws -> Ms.flush_words_only m ws
+  | Fence -> Ms.fence m
+  | Mark _ -> ()
+
 let exec_schedule f cfg prog sched ~stop_at =
   let m = Ms.boot (f.initial cfg prog) in
   let statuses = Array.make (f.ntxs prog) NotStarted in
@@ -112,14 +124,12 @@ let exec_schedule f cfg prog sched ~stop_at =
         if is_persist_point s && !points = stop_at then true
         else begin
           if is_persist_point s then incr points;
+          apply m s;
           (match s.act with
-          | St (w, v) -> Ms.store m w v
-          | Fl ws -> Ms.flush_words m ws
-          | Flw ws -> Ms.flush_words_only m ws
-          | Fence -> Ms.fence m
           | Mark (M_start u) -> statuses.(u - 1) <- InFlight
           | Mark (M_commit_point u) -> statuses.(u - 1) <- Window
-          | Mark (M_retired u) -> statuses.(u - 1) <- Retired);
+          | Mark (M_retired u) -> statuses.(u - 1) <- Retired
+          | St _ | Fl _ | Flw _ | Fence -> ());
           go tl
         end
   in
@@ -296,12 +306,16 @@ let pp_cex ppf (c : cex) =
   Format.fprintf ppf "counterexample (%svariant %s):@." c.title
     (Mvariant.name c.variant);
   Format.fprintf ppf "  program   %s@." c.program;
-  if c.point < 0 then
+  if c.point >= 0 then
+    Format.fprintf ppf
+      "  crash     before writer persist point p%d, landed-word mask 0x%x@."
+      c.point c.mask
+  else if c.mask = 0 && c.nested = None then
     Format.fprintf ppf "  crash     none (crash-free run)@."
   else
     Format.fprintf ppf
-      "  crash     before writer persist point p%d, landed-word mask 0x%x@."
-      c.point c.mask;
+      "  crash     after the last writer persist point, landed-word mask 0x%x@."
+      c.mask;
   Option.iter
     (fun (rk, rm) ->
       Format.fprintf ppf
@@ -363,16 +377,12 @@ let recover_and_check stats b st ~point ~mask ~nested =
   | Ok () -> ()
   | Error e -> found b ~point ~mask ~nested e st final
 
-(* The crash-free run: natural outcomes.  Its end image is recovered
-   first in a family whose unfenced tail is legitimately in flight,
-   and must already be quiescent otherwise. *)
-let check_crash_free stats b st =
-  let point = -1 and mask = 0 and nested = None in
-  if b.f.recovers_end then recover_and_check stats b st ~point ~mask ~nested
-  else
-    match check_recovered b.f b.v b.cfg b.prog b.statuses st with
-    | Ok () -> ()
-    | Error e -> found b ~point ~mask ~nested e st st
+(* The crash-free run of a family whose end image must already be
+   quiescent: checked as it stands, with natural outcomes. *)
+let check_crash_free b st =
+  match check_recovered b.f b.v b.cfg b.prog b.statuses st with
+  | Ok () -> ()
+  | Error e -> found b ~point:(-1) ~mask:0 ~nested:None e st st
 
 (* Crash recovery of [st] before its persist point [rk]; [None] when
    recovery finishes first. *)
@@ -384,6 +394,21 @@ let crash_recovery b st rk =
 
 let seen_key st statuses = Marshal.to_string (st, statuses) []
 
+(* Every subset of the in-flight words is enumerated, so their number is
+   capped; a schedule past the cap names the branch that exceeded it. *)
+let check_in_flight b ~point ?nested n =
+  if n > Ms.max_branch_words then
+    failwith
+      (Printf.sprintf
+         "pmodel: %s family (%s), program %d (%s), writer point %s%s: %d \
+          words in flight exceed the cap of %d"
+         b.f.name (b.f.cfg_key b.cfg) b.pidx (b.f.describe b.cfg b.prog)
+         (if point < 0 then "end" else string_of_int point)
+         (match nested with
+         | Some rk -> Printf.sprintf ", recovery point %d" rk
+         | None -> "")
+         n Ms.max_branch_words)
+
 let check_program stats f v cfg pidx prog ~nested =
   let sched = f.schedule cfg v prog in
   let exec stop_at = exec_schedule f cfg prog sched ~stop_at in
@@ -391,7 +416,7 @@ let check_program stats f v cfg pidx prog ~nested =
   let full = exec (-1) in
   assert (not full.crashed);
   let b = { f; v; cfg; pidx; prog; statuses = full.statuses } in
-  check_crash_free stats b (Ms.snapshot_durable full.m);
+  if not f.recovers_end then check_crash_free b (Ms.snapshot_durable full.m);
   let seen = Hashtbl.create 1024 in
   let fresh st statuses =
     let key = seen_key st statuses in
@@ -402,18 +427,17 @@ let check_program stats f v cfg pidx prog ~nested =
     end;
     is_new
   in
-  for k = 0 to full.points - 1 do
-    let r = exec k in
-    assert r.crashed;
+  (* Crash run [r] at [point] (-1: after its last persist point) with
+     every subset of its in-flight words landing. *)
+  let crash (r : _ run) ~point =
     let b = { b with statuses = r.statuses } in
-    stats.crash_points <- stats.crash_points + 1;
     let n = List.length (Ms.wpq_words r.m) in
-    assert (n <= Ms.max_branch_words);
+    check_in_flight b ~point n;
     for mask = 0 to (1 lsl n) - 1 do
       stats.crash_branches <- stats.crash_branches + 1;
       let st = Ms.crash_state r.m ~mask in
       if fresh st r.statuses then begin
-        recover_and_check stats b st ~point:k ~mask ~nested:None;
+        recover_and_check stats b st ~point ~mask ~nested:None;
         if nested then begin
           (* crash recovery itself at each of ITS persist points *)
           let dclk = Mr.no_crash () in
@@ -423,19 +447,28 @@ let check_program stats f v cfg pidx prog ~nested =
             stats.nested_points <- stats.nested_points + 1;
             let rm = Option.get (crash_recovery b st rk) in
             let rn = List.length (Ms.wpq_words rm) in
-            assert (rn <= Ms.max_branch_words);
+            check_in_flight b ~point ~nested:rk rn;
             for rmask = 0 to (1 lsl rn) - 1 do
               stats.nested_branches <- stats.nested_branches + 1;
               let st2 = Ms.crash_state rm ~mask:rmask in
               if fresh st2 r.statuses then
-                recover_and_check stats b st2 ~point:k ~mask
+                recover_and_check stats b st2 ~point ~mask
                   ~nested:(Some (rk, rmask))
             done
           done
         end
       end
     done
-  done
+  in
+  for k = 0 to full.points - 1 do
+    let r = exec k in
+    assert r.crashed;
+    stats.crash_points <- stats.crash_points + 1;
+    crash r ~point:k
+  done;
+  (* a family whose unfenced tail is legitimately in flight at the end
+     crashes there too *)
+  if f.recovers_end then crash full ~point:(-1)
 
 (* {1 Entry points} *)
 
@@ -465,8 +498,10 @@ let check_mask what mask n =
   else Ok ()
 
 (* Re-run one branch of family [f] from the spec fields after its
-   config: PROG:POINT:MASK[:RPOINT:RMASK].  POINT -1 is the crash-free
-   run, checked exactly as {!run} checks it. *)
+   config: PROG:POINT:MASK[:RPOINT:RMASK].  POINT -1 is the end of the
+   run, checked exactly as {!run} checks it: the crash-free image, or in
+   a family whose tail is in flight at the end, a crash after the last
+   persist point. *)
 let replay_in (f : (_, _, _) family) v cfg spec fields =
   let ( let* ) = Result.bind in
   let* pidx, point, mask, nested =
@@ -490,11 +525,12 @@ let replay_in (f : (_, _, _) family) v cfg spec fields =
   let verdict check =
     match check () with () -> Ok None | exception Found c -> Ok (Some c)
   in
-  if point = -1 then
+  if point = -1 && not f.recovers_end then
     if mask <> 0 || nested <> None then
       fail "the crash-free run (POINT -1) takes MASK 0 and no RPOINT:RMASK"
-    else verdict (fun () -> check_crash_free stats b (Ms.snapshot_durable r.m))
-  else if not r.crashed then fail "persist point %d out of range" point
+    else verdict (fun () -> check_crash_free b (Ms.snapshot_durable r.m))
+  else if point <> -1 && not r.crashed then
+    fail "persist point %d out of range" point
   else
     let* () = check_mask "landed-word mask" mask (List.length (Ms.wpq_words r.m)) in
     let st = Ms.crash_state r.m ~mask in

@@ -1,123 +1,45 @@
-(* Exhaustive crash-state checker for the CoW ("mod" engine) commit
-   protocol: the {!Corundum.Cow_root} intent/swap/recovery family over
-   {!Pjournal.Protocol.cow_commit_plan}.
+(* Exhaustive crash-state checking of the shipped CoW ("mod" engine)
+   commit: {!Engines.Mod_engine} and {!Corundum.Cow_root.recover}, a
+   family of {!Mcheck}'s enumerator.
 
-   A family of {!Mcheck}'s enumerator on {!Mstate}'s machine, with its
-   own layout: its recovery is a step-for-step mirror of
-   [Cow_root.recover], and its oracle adds the root word to durable
-   linearizability and intent quiescence (I-QUIESCENT-INTENT).
+   Each program runs on the real engine over a tiny pool, and its
+   persist steps are captured ({!Mcapture}) onto a dense image of the
+   lines it touches: the root cell (root word and both intent slots),
+   the allocation-table line and the two heap blocks' first lines.  A
+   crash image is recovered by running the real [Cow_root.recover] on a
+   device holding it, replayed onto the model so recovery's own crashes
+   are enumerated too.  The oracle decodes the root word, table codes
+   and heap payloads with the shipped layout, adds the root word to
+   durable linearizability, and requires every intent record to be
+   retired (I-QUIESCENT-INTENT).
 
    Aborts are not modeled: the engine's abort is purely volatile
    (reservations cancelled, nothing of an uncommitted transaction was
    ever flushed), so an aborting transaction contributes no persist
-   point and no crash branch the empty schedule does not already cover.
+   point and no crash branch the empty schedule does not already
+   cover. *)
 
-   The CRC of the intent record is modeled structurally, as in
-   {!Mstate}: the header value records the exact body words it covered,
-   and verification is "every recorded word still reads back
-   identically" — what the salted CRC certifies modulo collisions.
-
-   Commit-word semantics mirrored here (and checked): for [Publish] the
-   first publish word doubles as the commit indicator; for [Gen_only] /
-   [Swap] the packed root word itself is the commit word; an
-   intent-less bare swap fences first so its commit word can never land
-   while a predecessor's unfenced tail is still in flight; recovery
-   invalidates every intent it reads, including stale generations. *)
-
-module Pt = Pjournal.Protocol
+module D = Pmem.Device
+module P = Corundum.Pool_impl
+module R = Corundum.Cow_root
+module B = Palloc.Buddy
+module T = Palloc.Alloc_table
+module E = Engines.Mod_engine
+module Mx = Mcapture
 open Mcheck
 
-(* {1 Layout}
+(* {1 Programs}
 
-   One word = one 8-byte atomic unit; lines of 8 words.
-   Line 0: the packed root word.  Lines 1-2: the two intent record
-   slots (header + up to 5 body words each), sealed alternately by
-   generation parity, like the engine's cell.  Line 3: the two
-   allocation-table words (they share a flush line but tear
-   independently).  Lines 4-5: the two heap blocks, one word of
-   payload each. *)
+   Two heap blocks: A (512 B, buddy order 3) and B (256 B, order 2).  A
+   transaction's stores write its number into a block's first word, so
+   a heap payload names the transaction that last wrote it (0: the
+   initial contents).  A root pointer is 0 (no root) or b+1 for block
+   b. *)
 
-let words_per_line = 8
 let nblocks = 2
-let nslots = 2
-let root_w = 0
-let ihdr_w s = 8 + (words_per_line * s)
-let ibody_w s = ihdr_w s + 1 (* body words, up to 5 per slot *)
-let slot_of_igen igen = igen land 1
-let table_w b = 24 + b
-let heap_w b = 32 + (words_per_line * b)
-let nwords = 32 + (words_per_line * nblocks)
 let order_of_block b = 3 - b
 let block_name = function 0 -> "A" | 1 -> "B" | _ -> "?"
-
-(* ptr encoding: 0 = no root, b+1 = block b *)
 let ptr_name = function 0 -> "none" | p -> block_name (p - 1)
-
-let word_name w =
-  if w = root_w then "root"
-  else if w >= ihdr_w 0 && w < ihdr_w nslots then
-    let s = (w - ihdr_w 0) / words_per_line in
-    let o = (w - ihdr_w s) in
-    if o = 0 then Printf.sprintf "intent%d.hdr" s
-    else Printf.sprintf "intent%d.body[%d]" s (o - 1)
-  else if w = table_w 0 || w = table_w 1 then
-    Printf.sprintf "table.%s" (block_name (w - table_w 0))
-  else if w >= heap_w 0 then
-    let b = (w - heap_w 0) / words_per_line in
-    if w = heap_w b then Printf.sprintf "heap.%s" (block_name b)
-    else Printf.sprintf "heap.pad%d" w
-  else Printf.sprintf "w%d" w
-
-(* {1 Values} *)
-
-type ikind = K_gen | K_swap of int | K_pub of int (* the recorded ptr *)
-
-type pub = { w : int; oldv : value; newv : value }
-
-and ipay =
-  | P_pub of pub
-  | P_alloc of int (* block *)
-  | P_free of int
-
-and value =
-  | Int of int
-  | Gen of int (* heap word: data generation (0 = initial contents) *)
-  | Root of { ptr : int; gen : int } (* the packed 8-byte root word *)
-  | Tab of int (* table word: 0 = free, order+1 = live *)
-  | Ihdr of { igen : int; kind : ikind; body : (int * value) list }
-  | Ibody of { wid : int; pay : ipay }
-
-let kind_name = function
-  | K_gen -> "gen-only"
-  | K_swap p -> Printf.sprintf "swap->%s" (ptr_name p)
-  | K_pub p -> Printf.sprintf "publish->%s" (ptr_name p)
-
-let pp_value ppf = function
-  | Int n -> Format.fprintf ppf "%d" n
-  | Gen g -> Format.fprintf ppf "gen:%d" g
-  | Root { ptr; gen } -> Format.fprintf ppf "root(%s,g%d)" (ptr_name ptr) gen
-  | Tab c -> Format.fprintf ppf "tab:%d" c
-  | Ihdr { igen; kind; body } ->
-      Format.fprintf ppf "ihdr(g%d,%s,%dw)" igen (kind_name kind)
-        (List.length body)
-  | Ibody { wid; pay = _ } -> Format.fprintf ppf "body#%d" wid
-
-(* {1 The machine — Mstate's, over the CoW layout} *)
-
-module Ms = Mstate
-
-type state = value array
-
-let initial_state ~init_live ~init_root : state =
-  let d = Array.make nwords (Int 0) in
-  d.(root_w) <- Root { ptr = init_root; gen = 0 };
-  for b = 0 to nblocks - 1 do
-    d.(heap_w b) <- Gen 0;
-    d.(table_w b) <- Tab (if init_live.(b) then order_of_block b + 1 else 0)
-  done;
-  d
-
-(* {1 Programs} *)
 
 type op = Pub of int | Alloc of int | Free of int | Set_root of int
 type tx = { ops : op list }
@@ -169,331 +91,172 @@ let programs : program list =
       [ t [ Set_root 2 ]; t [ Set_root 1 ] ];
   ]
 
-(* {1 Expansion}
+(* {1 The pool}
 
-   Mirrors [Mod_engine.commit] phase for phase, driving the tail from
-   the very same {!Pjournal.Protocol.cow_commit_plan} the engine
-   interprets.  A transaction's retirement (unambiguously applied) is
-   marked at the first fence issued anywhere AFTER its root-swap flush
-   — the buffered-durability window every plan closes with its next
-   fence. *)
+   One journal slot (the engine uses none) and one allocator stripe, so
+   the buddy hands out the same blocks in every program: A and B are
+   allocated in that order at format time, and a block not initially
+   live is freed again, to be reissued by the program's own alloc. *)
 
-type gctx = {
-  variant : Mvariant.t;
-  mutable wid : int;
-  mutable gen : int;
-  mutable ptr : int;
-  gens : int array;
-  mutable awaiting : int list; (* uids whose swap flush awaits a fence *)
+let config = { P.size = 256 * 1024; nslots = 1; slot_size = 4096 }
+let cell = 0 (* the root cell the engine commits through *)
+
+let setup p =
+  let pool = P.create ~config ~latency:Pmem.Latency.zero () in
+  let dev = P.device pool and b = P.buddy pool in
+  let offs =
+    Array.init nblocks (fun blk -> B.alloc b (B.size_of_order (order_of_block blk)))
+  in
+  Array.iteri (fun blk off -> if not p.init_live.(blk) then B.dealloc b off) offs;
+  let ptr = if p.init_root = 0 then 0 else offs.(p.init_root - 1) in
+  R.store_swap cell dev ~ptr ~gen:0;
+  R.flush_swap cell dev;
+  D.fence dev;
+  (pool, offs)
+
+(* The modeled lines and where the oracle finds its words, identical in
+   every program. *)
+type geometry = {
+  layout : Mx.layout;
+  offs : int array;  (* heap offset of each block *)
+  root_w : int;
+  heap_w : int array;  (* image word of each block's payload *)
+  table_byte : int array;  (* device offset of each block's table byte *)
+  names : string array;
+  recovery_dev : D.t;  (* recovery runs here *)
+  table : T.t;
 }
 
-let fresh_wid ctx =
-  ctx.wid <- ctx.wid + 1;
-  ctx.wid
+let geometry =
+  lazy
+    (let pool, offs = setup (List.hd programs) in
+     let dev = P.device pool and b = P.buddy pool in
+     let table_base = Int64.to_int (D.read_u64 dev P.hdr_table_base) in
+     let table_byte =
+       Array.map (fun o -> table_base + T.index_of_offset (B.table b) o) offs
+     in
+     let layout =
+       Mx.layout
+         (List.init (R.cell_bytes / D.line_size) (fun i ->
+              (R.cell_off cell / D.line_size) + i)
+         @ List.map (fun o -> o / D.line_size)
+             (Array.to_list table_byte @ Array.to_list offs))
+     in
+     let word off = Option.get (Mx.word_at layout off) in
+     (* a word is named after the nearest region start at or below it *)
+     let regions =
+       List.sort
+         (fun (_, a) (_, b) -> compare b a)
+         ([ ("root", R.cell_off cell); ("table", table_base) ]
+         @ List.init R.slots (fun s -> (Printf.sprintf "intent%d" s, R.intent_off cell s))
+         @ List.mapi (fun b o -> ("heap." ^ block_name b, o)) (Array.to_list offs))
+     in
+     let name off =
+       let r, base = List.find (fun (_, base) -> base <= off) regions in
+       if off = base then r else Printf.sprintf "%s+%d" r (off - base)
+     in
+     {
+       layout;
+       offs;
+       root_w = word (R.cell_off cell);
+       heap_w = Array.map word offs;
+       table_byte;
+       names = Array.init (Mx.nwords layout) (fun w -> name (Mx.offset layout w));
+       recovery_dev = dev;
+       table = B.table b;
+     })
 
-let push buf ?(lbl = "") act = buf := { act; lbl } :: !buf
+let payload uid = Int64.of_int uid
+let ptr_off g p = if p = 0 then 0 else g.offs.(p - 1)
+let pp_value ppf v = Format.fprintf ppf "%#Lx" v
 
-(* A fence drains the WPQ: every transaction whose commit word was
-   already flushed becomes unambiguously durable. *)
-let fence_step ctx buf ~lbl =
-  push buf ~lbl Fence;
-  List.iter (fun u -> push buf (Mark (M_retired u))) (List.rev ctx.awaiting);
-  ctx.awaiting <- []
+(* {1 Schedules: the engine's own persist steps} *)
 
-let gen_tx ctx buf ~uid tx =
-  push buf (Mark (M_start uid));
-  (* classify ops volatilely, exactly like the engine's write-set *)
-  let allocs = ref [] and frees = ref [] and pubs = ref [] in
-  let pending_root = ref None in
-  List.iter
-    (fun op ->
-      match op with
-      | Alloc b ->
-          allocs := b :: !allocs;
-          (* the alloc+write shape: a shadow store into the fresh block *)
-          push buf
-            ~lbl:(Printf.sprintf "shadow store %s" (block_name b))
-            (St (heap_w b, Gen uid))
-      | Pub b -> if not (List.mem b !pubs) then pubs := b :: !pubs
-      | Free b -> frees := b :: !frees
-      | Set_root p -> pending_root := Some p)
-    tx.ops;
-  let allocs = List.rev !allocs and frees = List.rev !frees in
-  let new_ptr = match !pending_root with Some p -> p | None -> ctx.ptr in
-  (* publishes into same-tx-freed blocks are dropped, like the engine *)
-  let pubs =
-    List.filter_map
-      (fun b ->
-        if List.mem b frees then None
-        else Some (heap_w b, Gen ctx.gens.(b), Gen uid))
-      (List.rev !pubs)
-  in
-  let has_allocs = allocs <> [] and has_frees = frees <> [] in
-  let has_shadow = allocs <> [] || pubs <> [] in
-  let igen = ctx.gen + 1 in
-  let shadow_words = List.map heap_w allocs in
-  if not (has_allocs || has_frees || has_shadow) then begin
-    match !pending_root with
-    | None -> () (* read-only: nothing durable, no crash point *)
-    | Some _ ->
-        (* the intent-less bare swap: fence (drain any predecessor's
-           unfenced tail), then the self-committing w0 store+flush *)
-        fence_step ctx buf ~lbl:"bare-swap fence";
-        push buf (Mark (M_commit_point uid));
-        push buf ~lbl:"bare swap"
-          (St (root_w, Root { ptr = new_ptr; gen = igen }));
-        push buf ~lbl:"bare swap" (Fl [ root_w ]);
-        ctx.awaiting <- uid :: ctx.awaiting;
-        ctx.ptr <- new_ptr;
-        ctx.gen <- igen
-  end
-  else begin
-    let kind =
-      match pubs with
-      | [] -> if new_ptr = 0 then K_gen else K_swap new_ptr
-      | _ -> K_pub new_ptr
-    in
-    let slot = slot_of_igen igen in
-    let body =
-      List.mapi
-        (fun i (w, oldv, newv) ->
-          (ibody_w slot + i,
-           Ibody { wid = fresh_wid ctx; pay = P_pub { w; oldv; newv } }))
-        pubs
-      @ List.mapi
-          (fun i b ->
-            (ibody_w slot + List.length pubs + i,
-             Ibody { wid = fresh_wid ctx; pay = P_alloc b }))
-          allocs
-      @ List.mapi
-          (fun i b ->
-            (ibody_w slot + List.length pubs + List.length allocs + i,
-             Ibody { wid = fresh_wid ctx; pay = P_free b }))
-          frees
-    in
-    assert (List.length body <= words_per_line - 1);
-    let intent_words = ihdr_w slot :: List.map fst body in
-    let need_intent = has_allocs || has_frees || pubs <> [] in
-    let sealed = ref false in
-    let seal ~lbl =
-      List.iter (fun (w, v) -> push buf ~lbl (St (w, v))) body;
-      push buf ~lbl (St (ihdr_w slot, Ihdr { igen; kind; body }));
-      push buf ~lbl (Fl intent_words);
-      sealed := true
-    in
-    let fenced = ref false and committed = ref false in
-    let commit_point () =
-      committed := true;
-      push buf (Mark (M_commit_point uid))
-    in
-    let swap ~lbl =
-      push buf ~lbl (St (root_w, Root { ptr = new_ptr; gen = igen }));
-      push buf ~lbl (Fl [ root_w ])
-    in
-    let plan =
-      Pt.cow_commit_plan ~allocs:has_allocs ~frees:has_frees ~shadow:has_shadow
-    in
-    List.iter
-      (fun ph ->
-        match ph with
-        | Pt.Seal_intent ->
-            seal ~lbl:"seal intent";
-            fence_step ctx buf ~lbl:"seal fence";
-            fenced := true
-        | Pt.Shadow_flush ->
-            (* the seeded Swap_before_flush bug: the root word is
-               published before the data it points at is durable *)
-            if ctx.variant = Mvariant.Swap_before_flush then
-              swap ~lbl:"PREMATURE root swap";
-            if need_intent && not !sealed then seal ~lbl:"seal (rides batch)";
-            let marks =
-              List.map
-                (fun b ->
-                  push buf
-                    ~lbl:(Printf.sprintf "mark %s" (block_name b))
-                    (St (table_w b, Tab (order_of_block b + 1)));
-                  table_w b)
-                allocs
-            in
-            if shadow_words @ marks <> [] then
-              push buf ~lbl:"shadow flush" (Fl (shadow_words @ marks))
-        | Pt.Commit_fence ->
-            fence_step ctx buf ~lbl:"commit fence";
-            fenced := true;
-            commit_point ()
-        | Pt.Root_swap ->
-            if not !fenced then begin
-              fence_step ctx buf ~lbl:"swap fence";
-              fenced := true
-            end;
-            if not !committed then commit_point ();
-            if pubs <> [] then begin
-              List.iter
-                (fun (w, _old, newv) ->
-                  push buf ~lbl:"publish" (St (w, newv)))
-                pubs;
-              push buf ~lbl:"publish flush" (Fl (List.map (fun (w, _, _) -> w) pubs))
-            end;
-            if ctx.variant <> Mvariant.Swap_before_flush then
-              swap ~lbl:"root swap";
-            ctx.awaiting <- uid :: ctx.awaiting
-        | Pt.Retire_old ->
-            fence_step ctx buf ~lbl:"retire fence";
-            let clears =
-              List.map
-                (fun b ->
-                  push buf
-                    ~lbl:(Printf.sprintf "retire %s" (block_name b))
-                    (St (table_w b, Tab 0));
-                  table_w b)
-                frees
-            in
-            push buf ~lbl:"retire flush" (Fl clears)
-        | _ -> assert false)
-      plan;
-    List.iter (fun (w, _, _) -> ctx.gens.((w - heap_w 0) / words_per_line) <- uid) pubs;
-    List.iter (fun b -> ctx.gens.(b) <- uid) allocs;
-    ctx.ptr <- new_ptr;
-    ctx.gen <- igen
-  end
-
-let schedule variant (p : program) : value step list =
-  let ctx =
-    {
-      variant;
-      wid = 0;
-      gen = 0;
-      ptr = p.init_root;
-      gens = Array.make nblocks 0;
-      awaiting = [];
-    }
-  in
-  let buf = ref [] in
-  List.iteri (fun i tx -> gen_tx ctx buf ~uid:(i + 1) tx) p.txs;
-  List.rev !buf
-
-(* {1 Modeled recovery — a mirror of Cow_root.recover} *)
-
-(* Crash clock: {!Mrecovery}'s. *)
-module Mr = Mrecovery
-
-let read_root m =
-  match Ms.read m root_w with
-  | Root { ptr; gen } -> (ptr, gen)
-  | _ -> (0, 0)
-
-(* CRC verification, structurally: the header's recorded body words must
-   all read back identically. *)
-let read_intent m s =
-  match Ms.read m (ihdr_w s) with
-  | Ihdr { igen; kind; body }
-    when List.for_all (fun (w, v) -> Ms.read m w = v) body ->
-      Some (igen, kind, body)
-  | _ -> None
-
-let read_intents m =
-  List.filter_map
-    (fun s -> Option.map (fun r -> (s, r)) (read_intent m s))
-    (List.init nslots Fun.id)
-
-let persist_word clk m w =
-  Mr.tick clk;
-  Ms.flush_words m [ w ];
-  Mr.tick clk;
-  Ms.fence m
-
-let ensure_word clk m w v =
-  if Ms.read m w <> v then begin
-    Ms.store m w v;
-    persist_word clk m w
-  end
-
-let tab_code m b = match Ms.read m (table_w b) with Tab c -> c | _ -> -1
-
-let ensure_marked clk m b =
-  if tab_code m b <> order_of_block b + 1 then begin
-    Ms.store m (table_w b) (Tab (order_of_block b + 1));
-    persist_word clk m (table_w b)
-  end
-
-let ensure_cleared clk m b =
-  if tab_code m b <> 0 then begin
-    Ms.store m (table_w b) (Tab 0);
-    persist_word clk m (table_w b)
-  end
-
-let invalidate_intent clk m s =
-  Ms.store m (ihdr_w s) (Int 0);
-  persist_word clk m (ihdr_w s)
-
-let body_effects body =
-  List.fold_left
-    (fun (pubs, allocs, frees) (_, v) ->
-      match v with
-      | Ibody { pay = P_pub p; _ } -> (p :: pubs, allocs, frees)
-      | Ibody { pay = P_alloc b; _ } -> (pubs, b :: allocs, frees)
-      | Ibody { pay = P_free b; _ } -> (pubs, allocs, b :: frees)
-      | _ -> (pubs, allocs, frees))
-    ([], [], []) (List.rev body)
-
-let roll_forward clk m body =
-  let pubs, allocs, frees = body_effects body in
-  List.iter (fun { w; newv; _ } -> ensure_word clk m w newv) (List.rev pubs);
-  List.iter (ensure_marked clk m) (List.rev allocs);
-  List.iter (ensure_cleared clk m) (List.rev frees)
-
-let roll_back clk m s body =
-  let pubs, allocs, _frees = body_effects body in
-  List.iter (fun { w; oldv; _ } -> ensure_word clk m w oldv) (List.rev pubs);
-  List.iter (ensure_cleared clk m) (List.rev allocs);
-  invalidate_intent clk m s
-
-(* Mirror of [Cow_root.recover_cell]: stale records retired first, then
-   the consumed slot rolled forward (its transaction is logically
-   earlier), then the pending slot judged by its commit word. *)
-let recover clk m =
-  let _ptr, gen = read_root m in
-  let recs = read_intents m in
-  let pending (igen, _, _) = igen = gen + 1 in
-  let consumed (igen, _, _) = igen = gen && gen <> 0 in
-  List.iter
-    (fun (s, r) ->
-      (* stale generation: the transaction is gone either way *)
-      if not (pending r || consumed r) then invalidate_intent clk m s)
-    recs;
-  List.iter
-    (fun (s, ((_, _, body) as r)) ->
-      if consumed r then begin
-        roll_forward clk m body;
-        invalidate_intent clk m s
-      end)
-    recs;
-  List.iter
-    (fun (s, ((igen, kind, body) as r)) ->
-      if pending r then begin
-        let committed =
-          match kind with
-          | K_gen | K_swap _ -> false
-          | K_pub _ -> (
-              let pubs, _, _ = body_effects body in
-              match List.rev pubs with
-              | { w; newv; _ } :: _ -> Ms.read m w = newv
-              | [] -> false)
-        in
-        if committed then begin
-          roll_forward clk m body;
-          let ptr =
-            match kind with
-            | K_pub p -> p
-            | K_gen | K_swap _ -> fst (read_root m)
+(* A transaction is retired (unambiguously applied) at the first fence
+   after its root-word flush: the buffered-durability window every
+   commit closes with its next fence. *)
+let mark_retired g steps =
+  let tx = ref 0 and awaiting = ref [] in
+  List.concat_map
+    (fun s ->
+      match s.act with
+      | Mark (M_start u) ->
+          tx := u;
+          [ s ]
+      | Fl ws when List.mem g.root_w ws ->
+          awaiting := !tx :: !awaiting;
+          [ s ]
+      | Fence ->
+          let retired =
+            List.rev_map (fun u -> { act = Mark (M_retired u); lbl = "" }) !awaiting
           in
-          Ms.store m root_w (Root { ptr; gen = igen });
-          persist_word clk m root_w;
-          invalidate_intent clk m s
-        end
-        else roll_back clk m s body
-      end)
-    recs
+          awaiting := [];
+          s :: retired
+      | _ -> [ s ])
+    steps
+
+type run = {
+  initial : int64 array;
+  steps : int64 step list;
+  persist_points : int;  (* the device's own count over the run *)
+}
+
+let run_program p =
+  let g = Lazy.force geometry in
+  let pool, offs = setup p in
+  if offs <> g.offs then failwith "Mcow: the buddy moved the program's blocks";
+  let dev = P.device pool in
+  let eng = E.of_pool pool in
+  let initial = Mx.image g.layout dev in
+  let pp0 = D.persist_points dev in
+  let op t uid = function
+    | Pub b -> E.write t offs.(b) (payload uid)
+    | Alloc b ->
+        let off = E.alloc t (B.size_of_order (order_of_block b)) in
+        if off <> offs.(b) then
+          failwith
+            (Printf.sprintf "Mcow: %s: alloc %s returned %#x, not %#x" p.descr
+               (block_name b) off offs.(b));
+        E.write t off (payload uid)
+    | Free b -> E.free t offs.(b)
+    | Set_root q -> E.set_root t (ptr_off g q)
+  in
+  let steps, () =
+    Mx.capture g.layout dev (fun () ->
+        List.iteri
+          (fun i tx -> E.transaction eng (fun t -> List.iter (op t (i + 1)) tx.ops))
+          p.txs)
+  in
+  { initial; steps = mark_retired g steps; persist_points = D.persist_points dev - pp0 }
+
+let runs = lazy (List.map (fun p -> (p.descr, run_program p)) programs)
+let run p = List.assoc p.descr (Lazy.force runs)
+
+(* The seeded Swap_before_flush bug, as a rewrite of the captured
+   schedule: each transaction's root-word store and flush are hoisted
+   above its first flush, so the new root can land before the data it
+   points at and the intent that would re-derive it.  The markers stay
+   where the shipped protocol put them. *)
+let swap_before_flush g steps =
+  let is_swap s =
+    match s.act with
+    | St (w, _) -> w = g.root_w
+    | Fl ws -> List.mem g.root_w ws
+    | _ -> false
+  in
+  (* key: (transaction, 0 before its first other flush | 1 the swap | 2 after) *)
+  let tx = ref 0 and phase = ref 0 in
+  List.map
+    (fun s ->
+      (match s.act with
+      | Mark (M_start _) -> incr tx; phase := 0
+      | Fl _ when not (is_swap s) -> phase := 2
+      | _ -> ());
+      if is_swap s then ((!tx, 1), { s with lbl = "PREMATURE root swap" })
+      else ((!tx, !phase), s))
+    steps
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 (* {1 The oracle} *)
 
@@ -503,7 +266,7 @@ let allowed_outcomes _prog _i st =
   | Window -> [ Rolled_back; Applied ]
   | Retired -> [ Applied ]
 
-(* Replay a composition: per-block generation and table code, the root
+(* Replay a composition: per-block payload and table code, the root
    pointer, and the root generation (each applied transaction advances
    it by exactly one — the igen chain). *)
 let expected prog sigma =
@@ -535,21 +298,28 @@ let expected prog sigma =
     prog.txs;
   (gens, codes, !rptr, !rgen)
 
-(* Free blocks hold dead bytes — only live blocks' generations count. *)
-let state_matches () prog sigma (st : state) ~heap_only =
+(* The allocation-table byte of block [b] (0 free, order+1 live). *)
+let table_code g (st : int64 array) b =
+  let off = g.table_byte.(b) in
+  let w = Option.get (Mx.word_at g.layout off) in
+  Int64.to_int (Int64.shift_right_logical st.(w) (8 * (off mod 8))) land 0xFF
+
+(* Free blocks hold dead bytes — only live blocks' payloads count. *)
+let state_matches () prog sigma (st : int64 array) ~heap_only =
+  let g = Lazy.force geometry in
   let gens, codes, rptr, rgen = expected prog sigma in
   let ok = ref true in
   for b = 0 to nblocks - 1 do
-    if codes.(b) > 0 && st.(heap_w b) <> Gen gens.(b) then ok := false;
-    if (not heap_only) && st.(table_w b) <> Tab codes.(b) then ok := false
+    if codes.(b) > 0 && st.(g.heap_w.(b)) <> payload gens.(b) then ok := false;
+    if (not heap_only) && table_code g st b <> codes.(b) then ok := false
   done;
-  if (not heap_only) && st.(root_w) <> Root { ptr = rptr; gen = rgen } then
+  if (not heap_only) && R.unpack st.(g.root_w) <> (ptr_off g rptr, rgen) then
     ok := false;
   !ok
 
 (* {1 The CoW family}
 
-   One config.  The crash-free end image goes through recovery: the
+   One config.  The run is crashed after its last persist point too: the
    last transaction's unfenced tail is legitimately still in flight. *)
 
 let family =
@@ -559,26 +329,35 @@ let family =
     cfgs = [ () ];
     programs = (fun () -> programs);
     ntxs = (fun p -> List.length p.txs);
-    schedule = (fun () -> schedule);
-    initial =
-      (fun () p -> initial_state ~init_live:p.init_live ~init_root:p.init_root);
-    recover = (fun _variant clk () m -> recover clk m);
+    schedule =
+      (fun () v p ->
+        if v = Mvariant.Swap_before_flush then
+          swap_before_flush (Lazy.force geometry) (run p).steps
+        else (run p).steps);
+    initial = (fun () p -> (run p).initial);
+    recover =
+      (fun _ clk () m ->
+        let g = Lazy.force geometry in
+        Mx.recover g.layout g.recovery_dev (fun () -> ignore (R.recover g.recovery_dev g.table)) clk m);
     allowed = allowed_outcomes;
     matches = state_matches;
     quiescent =
       (fun () st ->
-        if read_intents (Ms.boot st) <> [] then
-          Some ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
+        let g = Lazy.force geometry in
+        Mx.load g.layout g.recovery_dev st;
+        if List.exists (fun s -> R.read_intent cell s g.recovery_dev <> None)
+             (List.init R.slots Fun.id)
+        then Some ("I-QUIESCENT-INTENT", "a readable intent survived recovery")
         else None);
     liveness_detail = "heap matches a composition but table/root words match none";
     recovers_end = true;
     title = "CoW family, ";
     describe = (fun () p -> p.descr);
     tx_names = (fun p -> List.map tx_name p.txs);
-    word_name = (fun () -> word_name);
+    word_name = (fun () w -> (Lazy.force geometry).names.(w));
     name_width = 16;
     pp_value;
-    blank = Int 0;
+    blank = 0L;
     cfg_key = (fun () -> "cow");
     parse_cfg = (function "cow" :: rest -> Some ((), rest) | _ -> None);
   }

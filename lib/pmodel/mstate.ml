@@ -133,8 +133,8 @@ let tab_set v sub code =
 
 (* {1 The machine}
 
-   Generic in the word value type, so {!Mcow} runs its own layout and
-   values on the same machine. *)
+   Generic in the word value type, so {!Mcow} runs the shipped code's
+   raw [int64] media words on the same machine. *)
 
 type 'v mem = {
   durable : 'v array;

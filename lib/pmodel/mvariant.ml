@@ -27,11 +27,13 @@ type t =
          to rule out: a member retires its log believing the shared
          fence covered it, but its target stores were never flushed *)
   | Swap_before_flush
-      (* CoW-engine family ({!Mcow}): the packed root word is stored and
-         flushed BEFORE the shadow/intent flush and the commit fence —
-         the ordering bug the cow_commit_plan exists to rule out: a
-         crash can land the new root while the data it points at (and
-         the intent that would re-derive it) never reached media *)
+      (* CoW family ({!Mcow}), a rewrite of the engine's captured
+         schedule: each transaction's packed root word is stored and
+         flushed BEFORE its first flush, ahead of the intent seal, the
+         shadow flush and the commit fence — the ordering bug the
+         cow_commit_plan exists to rule out: a crash can land the new
+         root while the data it points at (and the intent that would
+         re-derive it) never reached media *)
 
 let all =
   [
@@ -85,4 +87,4 @@ let describe = function
   | Partial_merge ->
       "group-commit leader flushes only the first member's lines"
   | Swap_before_flush ->
-      "CoW root swap issued before the shadow flush and commit fence"
+      "CoW root swap hoisted above the transaction's first flush"

@@ -63,7 +63,9 @@ let test_replay_roundtrip () =
     Mv.broken
 
 (* A nested branch (recovery crashed at its own persist point 1, one of
-   its in-flight words landed) of the correct protocol, in each family. *)
+   its in-flight words landed) of the correct protocol, in each family;
+   the CoW family also from a crash after the last persist point (POINT
+   -1) with the final root swap landed. *)
 let test_nested_replay () =
   List.iter
     (fun spec ->
@@ -72,7 +74,7 @@ let test_nested_replay () =
       | Ok (Some c) ->
           Alcotest.failf "%S: %s" spec (Format.asprintf "%a" Mc.pp_cex c)
       | Error e -> Alcotest.failf "replay %S failed: %s" spec e)
-    [ "correct:1:0:0:3:1:1:1"; "correct:cow:0:1:3:1:1" ]
+    [ "correct:1:0:0:3:1:1:1"; "correct:cow:0:3:1:1:1"; "correct:cow:10:-1:1:1:1" ]
 
 let test_replay_rejects_garbage () =
   List.iter
@@ -88,6 +90,47 @@ let test_replay_rejects_garbage () =
       ("swap-before-flush:1:0:0:0:0", "CoW mutation in the journal family");
       ("term-before-body:cow:0:0:0", "journal mutation in the CoW family");
     ]
+
+(* The CoW schedules are the shipped engine's own: each commit shape
+   carries DESIGN.md §14's fence-floor cost, and the family crashes the
+   engine before every one of its persist points. *)
+let test_cow_known_answer () =
+  let module Cow = Pmodel.Mcow in
+  List.iter
+    (fun (descr, expected) ->
+      let p = List.find (fun p -> p.Cow.descr = descr) Cow.programs in
+      let count act = List.length (List.filter act (Cow.run p).steps) in
+      Alcotest.(check (pair int int))
+        (descr ^ ": flushes, fences")
+        expected
+        ( count (fun s -> match s.Mc.act with Mc.Fl _ -> true | _ -> false),
+          count (fun s -> s.Mc.act = Mc.Fence) ))
+    [ ("update", (3, 1)); ("alloc+write+swap", (4, 2)); ("free", (3, 2)) ];
+  let r = Mc.run ~nested:false (Mc.Family Cow.family) Mv.Correct in
+  Alcotest.(check int) "crash points = the engine's persist points"
+    (List.fold_left (fun n p -> n + (Cow.run p).persist_points) 0 Cow.programs)
+    r.stats.crash_points
+
+(* The baseline gate is per family: a CoW floor one above the explored
+   count fails the check although the total floor (0) still holds. *)
+let test_gate_per_family () =
+  let r = Mc.run ~nested:false (Mc.Family Pmodel.Mcow.family) Mv.Correct in
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/pmodel_check.exe" in
+  let check_with floor =
+    let path = Filename.temp_file "pmodel_baseline" ".json" in
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc {|{"crash_branches":0,"families":{"cow":{"crash_branches":%d}}}|} floor);
+    let code =
+      Sys.command
+        (Printf.sprintf "%s check --no-nested --baseline %s > /dev/null 2>&1"
+           (Filename.quote exe) (Filename.quote path))
+    in
+    Sys.remove path;
+    code
+  in
+  let n = r.stats.crash_branches in
+  Alcotest.(check int) "CoW floor at the explored count passes" 0 (check_with n);
+  Alcotest.(check int) "CoW floor above it exits 1" 1 (check_with (n + 1))
 
 (* Conformance, positive: a real scenario run (with crash + recovery)
    captured off the probe bus must validate cleanly. *)
@@ -236,6 +279,10 @@ let () =
             test_nested_replay;
           Alcotest.test_case "replay rejects malformed specs" `Quick
             test_replay_rejects_garbage;
+          Alcotest.test_case "CoW schedules are the engine's (known answer)"
+            `Quick test_cow_known_answer;
+          Alcotest.test_case "baseline gate is per family" `Quick
+            test_gate_per_family;
         ]
         @ List.map
             (fun f ->
